@@ -65,13 +65,16 @@ def _cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    pairs = []
-    for stem in sorted(gold):
-        out, ref = _load(system[stem]), _load(gold[stem])
-        if not args.no_normalize:
-            out, ref = validation.normalize(out), validation.normalize(ref)
-        pairs.append((out, ref))
-    scores = evaluation.score_corpus(pairs, include_punct=not args.exclude_punct)
+
+    def pairs():
+        # One pair in memory at a time: score_corpus consumes them as read.
+        for stem in sorted(gold):
+            out, ref = _load(system[stem]), _load(gold[stem])
+            if not args.no_normalize:
+                out, ref = validation.normalize(out), validation.normalize(ref)
+            yield out, ref
+
+    scores = evaluation.score_corpus(pairs(), include_punct=not args.exclude_punct)
     if _json_output(args):
         payload = scores.to_dict()
         if not args.fine_grained:

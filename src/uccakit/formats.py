@@ -30,9 +30,9 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .categories import Category
+from .categories import LEGACY_REPLACEMENT, Category
 from .errors import DanglingReference, XmlFormatError, XmlSyntax
-from .graph import Node, NodeId, NodeKind, Passage, is_punctuation
+from .graph import Edge, Node, NodeId, NodeKind, Passage, is_punctuation
 
 # -- XML ------------------------------------------------------------------
 
@@ -95,10 +95,11 @@ def parse_xml(document: bytes | str) -> Passage:
         if nid == passage.root:
             continue
         passage.add_node(NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL, node_id=nid)
+    known = {n.id for n in passage.nodes}
     for nid, _, edges in units:
         for to_id, code, remote in edges:
             child = NodeId.parse(to_id)
-            if child not in {n.id for n in passage.nodes}:
+            if child not in known:
                 raise DanglingReference(f"edge toID={to_id} is not a declared node")
             passage.add_edge(nid, child, Category.from_code(code), remote=remote)
     return passage.freeze()
@@ -169,7 +170,9 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
     Each unit's lexical head is the head of its highest-priority primary
     child; a token depends on the head of the unit governing the maximal
     unit it heads, labeled with the category of the edge into that maximal
-    unit.  Remote edges and implicit nodes are dropped.
+    unit.  Remote edges and implicit nodes are dropped.  Legacy T/Q labels
+    are read as their replacements, so a passage exports as its normalized
+    form does.
     """
     passage._require_sealed()
     heads: dict[NodeId, Node | None] = {}
@@ -190,7 +193,7 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
                 span = passage.yield_of(edge.child)
                 if not span:
                     continue
-                rank = (HEAD_PRIORITY.index(edge.category.code), span[0])
+                rank = (HEAD_PRIORITY.index(_normalized_code(edge)), span[0])
                 if best is None or rank < best[0]:
                     best = (rank, edge.child)
             head = lexical_head(best[1]) if best else None
@@ -198,7 +201,7 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
         return head
 
     primary_parent: dict[NodeId, tuple[NodeId, str]] = {
-        e.child: (e.parent, e.category.code) for e in passage.edges if not e.remote
+        e.child: (e.parent, _normalized_code(e)) for e in passage.edges if not e.remote
     }
 
     rows = []
@@ -217,6 +220,11 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
             head = governor.position
         rows.append(BilexicalRow(terminal.position, terminal.text, head, deprel))
     return rows
+
+
+def _normalized_code(edge: Edge) -> str:
+    code = edge.category.code
+    return LEGACY_REPLACEMENT.get(code, code)
 
 
 def render_bilexical(rows: list[BilexicalRow]) -> str:

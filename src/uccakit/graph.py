@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .categories import Category, as_category
@@ -39,19 +40,31 @@ class NodeKind(Enum):
     IMPLICIT = "implicit"
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """A node address, rendered as "layer.index" (e.g. "0.3", "1.1")."""
+class NodeId(tuple):
+    """A node address, rendered as "layer.index" (e.g. "0.3", "1.1").
 
-    layer: int
-    index: int
+    A ``(layer, index)`` tuple, so hashing, equality and ordering run in C;
+    it compares equal to the plain tuple with the same fields.
+    """
 
-    def __post_init__(self):
-        if self.layer < 0 or self.index < 1:
-            raise GraphError(f"bad node id: {self.layer}.{self.index}")
+    __slots__ = ()
+
+    def __new__(cls, layer: int, index: int) -> "NodeId":
+        if layer < 0 or index < 1:
+            raise GraphError(f"bad node id: {layer}.{index}")
+        return tuple.__new__(cls, (layer, index))
+
+    layer = property(itemgetter(0))
+    index = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"NodeId(layer={self[0]}, index={self[1]})"
 
     def __str__(self) -> str:
-        return f"{self.layer}.{self.index}"
+        return f"{self[0]}.{self[1]}"
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
@@ -108,10 +121,16 @@ class Passage:
         self._edges: list[Edge] = []
         self._out: dict[NodeId, list[Edge]] = {}
         self._in: dict[NodeId, list[Edge]] = {}
+        self._edge_keys: set[tuple[NodeId, NodeId, str, bool]] = set()
+        self._max_unit_index = 0
         self._yield_cache: dict[NodeId, tuple[int, ...]] = {}
-        for position, text in enumerate(tokens, start=1):
-            nid = NodeId(TERMINAL_LAYER, position)
-            self._register(Node(nid, NodeKind.TERMINAL, text=text, position=position))
+        self._terminals = [
+            Node(NodeId(TERMINAL_LAYER, position), NodeKind.TERMINAL, text=text, position=position)
+            for position, text in enumerate(tokens, start=1)
+        ]
+        self._tokens = tuple(tokens)
+        for terminal in self._terminals:
+            self._register(terminal)
         self.root = root_id or NodeId(UNIT_LAYER, 1)
         if self.root.layer != UNIT_LAYER:
             raise GraphError(f"root must live in layer {UNIT_LAYER}: {self.root}")
@@ -128,7 +147,7 @@ class Passage:
         if kind is NodeKind.TERMINAL:
             raise GraphError("terminals are fixed by the token sequence")
         if node_id is None:
-            node_id = NodeId(UNIT_LAYER, self._next_index())
+            node_id = NodeId(UNIT_LAYER, self._max_unit_index + 1)
         elif node_id in self._nodes:
             raise GraphError(f"node id already taken: {node_id}")
         elif node_id.layer != UNIT_LAYER:
@@ -154,13 +173,19 @@ class Passage:
         child_node = self._nodes[child]
         if remote and child_node.is_terminal and is_punctuation(child_node.text):
             raise GraphError(f"remote edge may not point at punctuation terminal {child}")
-        edge = Edge(parent, child, category, remote)
-        if edge in self._out[parent]:
+        key = (parent, child, category.code, remote)
+        if key in self._edge_keys:
             raise DuplicateEdge(f"duplicate edge {parent} -{category}-> {child}")
         if not remote and any(not e.remote for e in self._in[child]):
             raise DuplicatePrimaryParent(f"{child} already has a primary parent")
-        if child == parent or self._reaches(child, parent):
+        # Only a path from child back to parent closes a cycle, and there is
+        # none unless the child has children and the parent has parents.
+        if child == parent or (
+            self._out[child] and self._in[parent] and self._reaches(child, parent)
+        ):
             raise CycleDetected(f"edge {parent} -> {child} would close a cycle")
+        edge = Edge(parent, child, category, remote)
+        self._edge_keys.add(key)
         self._edges.append(edge)
         self._out[parent].append(edge)
         self._in[child].append(edge)
@@ -193,12 +218,11 @@ class Passage:
 
     @property
     def tokens(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.terminals)
+        return self._tokens
 
     @property
     def terminals(self) -> list[Node]:
-        n = sum(1 for nid in self._nodes if nid.layer == TERMINAL_LAYER)
-        return [self._nodes[NodeId(TERMINAL_LAYER, k)] for k in range(1, n + 1)]
+        return list(self._terminals)
 
     def terminal_id(self, position: int) -> NodeId:
         """The NodeId of the terminal at a 1-based token position."""
@@ -278,7 +302,7 @@ class Passage:
     def __repr__(self) -> str:
         state = "sealed" if self._sealed else "building"
         return (
-            f"<Passage {self.passage_id!r} {state}: {len(self.terminals)} tokens, "
+            f"<Passage {self.passage_id!r} {state}: {len(self._terminals)} tokens, "
             f"{len(self._nodes)} nodes, {len(self._edges)} edges>"
         )
 
@@ -288,10 +312,8 @@ class Passage:
         self._nodes[node.id] = node
         self._out.setdefault(node.id, [])
         self._in.setdefault(node.id, [])
-
-    def _next_index(self) -> int:
-        taken = [nid.index for nid in self._nodes if nid.layer == UNIT_LAYER]
-        return max(taken, default=0) + 1
+        if node.id.layer == UNIT_LAYER:
+            self._max_unit_index = max(self._max_unit_index, node.id.index)
 
     def _require_mutable(self) -> None:
         if self._sealed:
@@ -336,19 +358,31 @@ class Passage:
         return None
 
     def _yield(self, node_id: NodeId) -> tuple[int, ...]:
-        if node_id in self._yield_cache:
-            return self._yield_cache[node_id]
-        node = self._nodes[node_id]
-        if node.is_terminal:
-            result: tuple[int, ...] = (node.position,)
-        else:
+        """Post-order over primary edges with an explicit stack, filling the
+        cache bottom-up, so nesting depth is not bounded by recursion."""
+        cache = self._yield_cache
+        stack = [node_id]
+        while stack:
+            nid = stack[-1]
+            if nid in cache:
+                stack.pop()
+                continue
+            node = self._nodes[nid]
+            if node.is_terminal:
+                cache[nid] = (node.position,)
+                stack.pop()
+                continue
+            children = [e.child for e in self._out[nid] if not e.remote]
+            pending = [c for c in children if c not in cache]
+            if pending:
+                stack.extend(pending)
+                continue
             positions: set[int] = set()
-            for edge in self._out[node_id]:
-                if not edge.remote:
-                    positions.update(self._yield(edge.child))
-            result = tuple(sorted(positions))
-        self._yield_cache[node_id] = result
-        return result
+            for child in children:
+                positions.update(cache[child])
+            cache[nid] = tuple(sorted(positions))
+            stack.pop()
+        return cache[node_id]
 
 
 def build_passage(passage_id: str, tokens: Iterable[str]) -> Passage:

@@ -20,6 +20,7 @@ from uccakit.formats import (
     serialize_xml,
 )
 from uccakit.graph import NodeKind, build_passage
+from uccakit.validation import normalize
 
 from .helpers import random_passage
 
@@ -178,6 +179,12 @@ class TestExportBilexical:
                 assert cursor not in seen
                 seen.add(cursor)
                 cursor = heads[cursor]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_legacy_labels_export_as_normalized(self, seed):
+        p = random_passage(random.Random(seed), legacy_labels=True)
+        assert export_bilexical(p) == export_bilexical(normalize(p))
 
     def test_rendering(self, remote_passage):
         text = render_bilexical(export_bilexical(remote_passage))

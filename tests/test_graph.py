@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +17,44 @@ from uccakit.errors import (
     TerminalAsParent,
     UnknownNode,
 )
+from uccakit.evaluation import score_passage
+from uccakit.formats import parse_xml, serialize_xml
 from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
+from uccakit.stats import corpus_stats
 
 from .helpers import random_passage
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
 )
+
+
+class TestNodeId:
+    def test_bad_id_rejected(self):
+        with pytest.raises(GraphError):
+            NodeId(1, 0)
+        with pytest.raises(GraphError):
+            NodeId.parse("1.x")
+
+    def test_fields_and_text(self):
+        nid = NodeId(1, 12)
+        assert (nid.layer, nid.index) == (1, 12)
+        assert str(nid) == "1.12"
+        assert repr(nid) == "NodeId(layer=1, index=12)"
+        assert NodeId.parse("1.12") == nid
+        assert nid == (1, 12)
+        assert hash(nid) == hash(NodeId(1, 12))
+
+    def test_pickle_and_copy(self):
+        nid = NodeId(0, 3)
+        for clone in (pickle.loads(pickle.dumps(nid)), copy.copy(nid), copy.deepcopy(nid)):
+            assert type(clone) is NodeId
+            assert clone == nid and hash(clone) == hash(nid)
+            assert repr(clone) == "NodeId(layer=0, index=3)"
+
+    def test_sorted_by_layer_then_index(self):
+        ids = [NodeId(1, 2), NodeId(0, 10), NodeId(1, 10), NodeId(0, 2)]
+        assert [str(n) for n in sorted(ids)] == ["0.2", "0.10", "1.2", "1.10"]
 
 
 class TestBuildPassage:
@@ -57,6 +91,11 @@ class TestAddNode:
     def test_consecutive_ids_distinct(self):
         p = build_passage("p", ["x"])
         assert p.add_node(NodeKind.NON_TERMINAL) != p.add_node(NodeKind.NON_TERMINAL)
+
+    def test_allocation_follows_highest_explicit_id(self):
+        p = build_passage("p", ["x"])
+        p.add_node(NodeKind.NON_TERMINAL, node_id=NodeId(1, 7))
+        assert str(p.add_node(NodeKind.NON_TERMINAL)) == "1.8"
 
 
 class TestAddEdge:
@@ -104,6 +143,21 @@ class TestAddEdge:
         p.add_edge(u, v, "A")
         with pytest.raises(CycleDetected):
             p.add_edge(v, u, "A", remote=True)
+
+    def test_cycle_through_remote_edge_rejected(self):
+        # The child already has children and the parent already has a
+        # parent, so the reachability search must run, and it must follow
+        # the remote edge b -> a... -> b.
+        p = build_passage("p", ["x", "y"])
+        a = p.add_node(NodeKind.NON_TERMINAL)
+        b = p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(p.root, a, "H")
+        p.add_edge(p.root, b, "H")
+        p.add_edge(a, p.terminal_id(1), "P")
+        p.add_edge(b, p.terminal_id(2), "P")
+        p.add_edge(a, b, "A", remote=True)
+        with pytest.raises(CycleDetected):
+            p.add_edge(b, a, "A", remote=True)
 
     def test_exact_duplicate_rejected(self):
         p = build_passage("p", ["x", "y"])
@@ -195,6 +249,21 @@ class TestYield:
         with pytest.raises(UnknownNode):
             remote_passage.yield_of(NodeId(1, 99))
 
+    def test_deep_chain(self):
+        # Deeper than the interpreter's recursion limit.
+        p = build_passage("chain", ["a", "b"])
+        unit = p.root
+        for _ in range(1500):
+            child = p.add_node(NodeKind.NON_TERMINAL)
+            p.add_edge(unit, child, "E")
+            unit = child
+        p.add_edge(unit, p.terminal_id(1), "C")
+        p.add_edge(p.root, p.terminal_id(2), "C")
+        p.freeze()
+        assert p.yield_of(p.root) == (1, 2)
+        assert score_passage(p, p).labeled["all"].f1 == 1.0
+        assert corpus_stats([p]).non_terminals == 1501
+
     @given(passages)
     def test_root_yield_is_full_range(self, p):
         assert p.yield_of(p.root) == tuple(range(1, len(p.terminals) + 1))
@@ -277,3 +346,19 @@ def test_construction_safety(p):
     for node in p.nodes:
         primaries = [e for e in p.incoming(node.id) if not e.remote]
         assert len(primaries) == (0 if node.id == p.root else 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_shuffled_unit_order_round_trips(seed):
+    """Units listed children-first or in any other order load the same."""
+    rng = random.Random(seed)
+    p = random_passage(rng, max_tokens=30, max_units=20, max_remotes=4)
+    document = ET.fromstring(serialize_xml(p))
+    layer1 = next(l for l in document.findall("layer") if l.get("layerID") == "1")
+    units = layer1.findall("node")
+    rng.shuffle(units)
+    layer1[:] = units
+    again = parse_xml(ET.tostring(document))
+    assert again == p
+    assert serialize_xml(again) == serialize_xml(p)
