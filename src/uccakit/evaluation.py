@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from .categories import ALL_CODES, PUNCT_CODE, REPORT_ORDER
 from .errors import TokenMismatch
@@ -30,20 +31,22 @@ class EdgeSignature:
     remote: bool
 
 
+def _pooled(passage: Passage, include_punct: bool) -> Iterator[tuple[tuple[int, ...], str, bool]]:
+    """(span, code, remote) of every edge that enters a matching pool."""
+    for edge in passage.edges:
+        span = passage.yield_of(edge.child)
+        if span and (include_punct or edge.category.code != PUNCT_CODE):
+            yield span, edge.category.code, edge.remote
+
+
 def edge_signatures(
     passage: Passage, labeled: bool = True, include_punct: bool = True
 ) -> list[EdgeSignature]:
     """One signature per edge with a non-empty child yield."""
-    signatures = []
-    for edge in passage.edges:
-        span = passage.yield_of(edge.child)
-        if not span:
-            continue
-        if not include_punct and edge.category.code == PUNCT_CODE:
-            continue
-        category = edge.category.code if labeled else None
-        signatures.append(EdgeSignature(span, category, edge.remote))
-    return signatures
+    return [
+        EdgeSignature(span, code if labeled else None, remote)
+        for span, code, remote in _pooled(passage, include_punct)
+    ]
 
 
 def match_count(out_sigs: Iterable[EdgeSignature], gold_sigs: Iterable[EdgeSignature]) -> int:
@@ -131,25 +134,31 @@ def score_passage(output: Passage, gold: Passage, include_punct: bool = True) ->
             f"passage {gold.passage_id}: output has {len(output.tokens)} tokens "
             f"vs {len(gold.tokens)} gold, or the texts differ"
         )
+    # One multiset of (span, code, remote) keys per passage.  Matching is
+    # per key, so strata and categories are sums over the matched keys; the
+    # unlabeled keys (span, remote) merge labels, so they are matched anew.
+    out = Counter(_pooled(output, include_punct))
+    ref = Counter(_pooled(gold, include_punct))
+    unlabeled, remote_of, code_of = itemgetter(0, 2), itemgetter(-1), itemgetter(1)
     scores = EvalScores()
-    for labeled in (True, False):
-        out_sigs = edge_signatures(output, labeled, include_punct)
-        gold_sigs = edge_signatures(gold, labeled, include_punct)
-        target = scores.labeled if labeled else scores.unlabeled
+    for target, o, r in (
+        (scores.labeled, out, ref),
+        (scores.unlabeled, _project(unlabeled, out), _project(unlabeled, ref)),
+    ):
+        matched, predicted, wanted = (_project(remote_of, c) for c in (o & r, o, r))
         for remote in (False, True):
-            out_pool = [s for s in out_sigs if s.remote == remote]
-            gold_pool = [s for s in gold_sigs if s.remote == remote]
-            counts = Counts(match_count(out_pool, gold_pool), len(out_pool), len(gold_pool))
+            counts = Counts(matched[remote], predicted[remote], wanted[remote])
             target["remote" if remote else "primary"] += counts
             target["all"] += counts
-        if labeled:
-            for code in sorted({s.category for s in out_sigs} | {s.category for s in gold_sigs}):
-                out_pool = [s for s in out_sigs if s.category == code]
-                gold_pool = [s for s in gold_sigs if s.category == code]
-                scores.by_category[code] = scores.by_category.get(code, Counts()) + Counts(
-                    match_count(out_pool, gold_pool), len(out_pool), len(gold_pool)
-                )
+    matched, predicted, wanted = (_project(code_of, c) for c in (out & ref, out, ref))
+    for code in sorted(predicted.keys() | wanted.keys()):
+        scores.by_category[code] = Counts(matched[code], predicted[code], wanted[code])
     return scores
+
+
+def _project(field, keys: Counter) -> Counter:
+    """The multiset of field(key) over the keys of `keys`, with multiplicity."""
+    return Counter(map(field, keys.elements()))
 
 
 def score_corpus(

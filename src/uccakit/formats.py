@@ -61,19 +61,20 @@ def parse_xml(document: bytes | str) -> Passage:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
         tokens.append(attributes.attrib["text"])
 
-    units: list[tuple[NodeId, bool, list[tuple[str, str, bool]]]] = []
+    units: list[tuple[NodeId, NodeKind, list[tuple[str, str, bool]]]] = []
     referenced: set[str] = set()
-    declared: set[str] = set()
+    ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by text
     for node in layers["1"].findall("node"):
         try:
             nid = NodeId.parse(node.attrib.get("ID", ""))
         except Exception:
             raise XmlFormatError(f"bad unit ID: {node.attrib.get('ID')!r}") from None
-        if str(nid) in declared:
+        if str(nid) in ids:
             raise XmlFormatError(f"duplicate unit ID: {nid}")
-        declared.add(str(nid))
+        ids[str(nid)] = nid
         attributes = node.find("attributes")
         implicit = attributes is not None and attributes.attrib.get("implicit") == "True"
+        kind = NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL
         edges = []
         for edge in node.findall("edge"):
             to_id = edge.attrib.get("toID")
@@ -84,31 +85,31 @@ def parse_xml(document: bytes | str) -> Passage:
             remote = edge_attrs is not None and edge_attrs.attrib.get("remote") == "True"
             edges.append((to_id, code, remote))
             referenced.add(to_id)
-        units.append((nid, implicit, edges))
+        units.append((nid, kind, edges))
 
     roots = [nid for nid, _, _ in units if str(nid) not in referenced]
     if len(roots) != 1:
         raise XmlFormatError(f"expected exactly one root unit, found {len(roots)}")
 
-    passage = Passage(passage_id, tokens, root_id=roots[0])
-    for nid, implicit, _ in units:
-        if nid == passage.root:
-            continue
-        passage.add_node(NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL, node_id=nid)
-    known = {n.id for n in passage.nodes}
-    for nid, _, edges in units:
-        for to_id, code, remote in edges:
-            child = NodeId.parse(to_id)
-            if child not in known:
-                raise DanglingReference(f"edge toID={to_id} is not a declared node")
-            passage.add_edge(nid, child, Category.from_code(code), remote=remote)
-    return passage.freeze()
+    ids.update((f"0.{k}", NodeId(0, k)) for k in range(1, len(tokens) + 1))
+
+    def resolved_edges():
+        for nid, _, edges in units:
+            for to_id, code, remote in edges:
+                # A toID not written as str(NodeId) is parsed, then looked up.
+                child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
+                if child is None:
+                    raise DanglingReference(f"edge toID={to_id} is not a declared node")
+                yield Edge(nid, child, Category.from_code(code), remote)
+
+    others = [(nid, kind) for nid, kind, _ in units if nid != roots[0]]
+    return Passage.assemble(passage_id, tokens, roots[0], others, resolved_edges())
 
 
 def serialize_xml(passage: Passage) -> bytes:
     """Deterministic UTF-8 document: nodes in id order, edges in insertion
     order.  parse_xml(serialize_xml(p)) is structurally identical to p."""
-    passage._require_sealed()
+    passage.require_sealed()
     root = ET.Element("root", passageID=passage.passage_id)
     layer0 = ET.SubElement(root, "layer", layerID="0")
     for terminal in passage.terminals:
@@ -142,7 +143,7 @@ def serialize_xml(passage: Passage) -> bytes:
 
 def export_text(passage: Passage) -> str:
     """Tokens joined by single spaces in position order."""
-    passage._require_sealed()
+    passage.require_sealed()
     return " ".join(passage.tokens)
 
 
@@ -174,31 +175,23 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
     are read as their replacements, so a passage exports as its normalized
     form does.
     """
-    passage._require_sealed()
     heads: dict[NodeId, Node | None] = {}
-
-    def lexical_head(nid: NodeId) -> Node | None:
-        if nid in heads:
-            return heads[nid]
+    for nid in passage.bottom_up():  # children's heads first
         node = passage.node(nid)
         if node.is_terminal:
-            head = node
-        elif node.kind is NodeKind.IMPLICIT:
-            head = None
-        else:
-            best = None
-            for edge in passage.outgoing(nid):
-                if edge.remote:
-                    continue
-                span = passage.yield_of(edge.child)
-                if not span:
-                    continue
-                rank = (HEAD_PRIORITY.index(_normalized_code(edge)), span[0])
-                if best is None or rank < best[0]:
-                    best = (rank, edge.child)
-            head = lexical_head(best[1]) if best else None
-        heads[nid] = head
-        return head
+            heads[nid] = node
+            continue
+        best = None
+        for edge in passage.outgoing(nid):
+            if edge.remote:
+                continue
+            span = passage.yield_of(edge.child)
+            if not span:
+                continue
+            rank = (HEAD_PRIORITY.index(_normalized_code(edge)), span[0])
+            if best is None or rank < best[0]:
+                best = (rank, edge.child)
+        heads[nid] = heads[best[1]] if best else None
 
     primary_parent: dict[NodeId, tuple[NodeId, str]] = {
         e.child: (e.parent, _normalized_code(e)) for e in passage.edges if not e.remote
@@ -209,15 +202,14 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
         unit: NodeId = terminal.id
         while unit != passage.root:
             parent, _ = primary_parent[unit]
-            if lexical_head(parent) != terminal:
+            if heads[parent] != terminal:
                 break
             unit = parent
         if unit == passage.root:
             head, deprel = 0, ROOT_DEPREL
         else:
             parent, deprel = primary_parent[unit]
-            governor = lexical_head(parent)
-            head = governor.position
+            head = heads[parent].position
         rows.append(BilexicalRow(terminal.position, terminal.text, head, deprel))
     return rows
 

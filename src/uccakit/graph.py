@@ -4,14 +4,17 @@ A passage is a token sequence plus a layered graph over it: terminals in
 layer 0, semantic units in layer 1.  Primary edges form a tree; remote
 edges add reentrancy, so the full edge set is a DAG.  Passages are mutable
 while being built and immutable once sealed by :meth:`Passage.freeze`;
-all analytic queries require a sealed passage.
+all analytic queries require a sealed passage.  A sealed passage computes
+the yields of all its nodes at once, in one pass, the first time any yield
+is asked for.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .categories import Category, as_category
 from .errors import (
@@ -121,9 +124,9 @@ class Passage:
         self._edges: list[Edge] = []
         self._out: dict[NodeId, list[Edge]] = {}
         self._in: dict[NodeId, list[Edge]] = {}
-        self._edge_keys: set[tuple[NodeId, NodeId, str, bool]] = set()
         self._max_unit_index = 0
-        self._yield_cache: dict[NodeId, tuple[int, ...]] = {}
+        # Filled all at once by _fill_yields; relabeled copies share it.
+        self._yields: dict[NodeId, tuple[int, ...]] = {}
         self._terminals = [
             Node(NodeId(TERMINAL_LAYER, position), NodeKind.TERMINAL, text=text, position=position)
             for position, text in enumerate(tokens, start=1)
@@ -137,6 +140,27 @@ class Passage:
         self._register(Node(self.root, NodeKind.NON_TERMINAL))
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def assemble(
+        cls,
+        passage_id: str,
+        tokens: Iterable[str],
+        root_id: NodeId,
+        units: Iterable[tuple[NodeId, NodeKind]],
+        edges: Iterable[Edge],
+    ) -> "Passage":
+        """Build and seal a passage in bulk, as a reader of a whole document does.
+
+        Each edge gets every check of add_edge except the cycle search:
+        freeze's acyclicity check then covers the whole passage at once.
+        """
+        passage = cls(passage_id, tokens, root_id=root_id)
+        for node_id, kind in units:
+            passage.add_node(kind, node_id=node_id)
+        for edge in edges:
+            passage._link(edge)
+        return passage.freeze()
 
     def add_node(self, kind: NodeKind, node_id: NodeId | None = None) -> NodeId:
         """Add an unattached unit (non-terminal or implicit) in layer 1.
@@ -163,32 +187,17 @@ class Passage:
         remote: bool = False,
     ) -> None:
         self._require_mutable()
-        category = as_category(category)
-        parent_node = self.node(parent)
-        self.node(child)
-        if parent_node.kind is not NodeKind.NON_TERMINAL:
-            raise TerminalAsParent(
-                f"{parent_node.kind.value} node {parent} cannot have children"
-            )
-        child_node = self._nodes[child]
-        if remote and child_node.is_terminal and is_punctuation(child_node.text):
-            raise GraphError(f"remote edge may not point at punctuation terminal {child}")
-        key = (parent, child, category.code, remote)
-        if key in self._edge_keys:
-            raise DuplicateEdge(f"duplicate edge {parent} -{category}-> {child}")
-        if not remote and any(not e.remote for e in self._in[child]):
-            raise DuplicatePrimaryParent(f"{child} already has a primary parent")
+        edge = Edge(parent, child, as_category(category), remote)
+        self._link(edge)
         # Only a path from child back to parent closes a cycle, and there is
         # none unless the child has children and the parent has parents.
         if child == parent or (
             self._out[child] and self._in[parent] and self._reaches(child, parent)
         ):
+            self._edges.pop()
+            self._out[parent].pop()
+            self._in[child].pop()
             raise CycleDetected(f"edge {parent} -> {child} would close a cycle")
-        edge = Edge(parent, child, category, remote)
-        self._edge_keys.add(key)
-        self._edges.append(edge)
-        self._out[parent].append(edge)
-        self._in[child].append(edge)
 
     def freeze(self) -> "Passage":
         """Verify all passage invariants and seal the passage.
@@ -215,6 +224,11 @@ class Passage:
     @property
     def sealed(self) -> bool:
         return self._sealed
+
+    def require_sealed(self) -> None:
+        """Raise GraphError unless the passage is sealed."""
+        if not self._sealed:
+            raise GraphError("passage must be sealed first; call freeze()")
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -263,15 +277,48 @@ class Passage:
     def yield_of(self, node_id: NodeId) -> tuple[int, ...]:
         """Token positions of all terminal descendants via primary edges.
 
-        A terminal yields its own position; implicit nodes yield ().
+        A terminal yields its own position; implicit nodes yield ().  The
+        first call computes the yields of every node in one pass.
         """
-        self._require_sealed()
+        self.require_sealed()
         self.node(node_id)
-        return self._yield(node_id)
+        if not self._yields:
+            self._fill_yields()
+        return self._yields[node_id]
+
+    def bottom_up(self) -> list[NodeId]:
+        """Every node id, each one after all of its primary children."""
+        self.require_sealed()
+        order = [self.root]
+        for nid in order:  # a pre-order walk of the primary tree
+            order.extend(e.child for e in self._out[nid] if not e.remote)
+        order.reverse()
+        return order
+
+    def relabeled(self, codes: Mapping[str, str]) -> "Passage":
+        """A sealed copy whose edge categories are mapped through `codes`.
+
+        Relabeling cannot change the primary tree, so the copy shares this
+        passage's node table and yields; only the edge lists are new.  A
+        remote edge that the mapping turns into a duplicate is dropped.
+        """
+        self.require_sealed()
+        fresh = copy.copy(self)
+        fresh._edges = []
+        fresh._out = {nid: [] for nid in self._nodes}
+        fresh._in = {nid: [] for nid in self._nodes}
+        for edge in self._edges:
+            code = codes.get(edge.category.code)
+            if code is not None:
+                edge = Edge(edge.parent, edge.child, as_category(code), edge.remote)
+            try:
+                fresh._link(edge)
+            except DuplicateEdge:
+                pass
+        return fresh
 
     def is_discontinuous(self, node_id: NodeId) -> bool:
         """True iff the yield is non-empty and not a contiguous range."""
-        self._require_sealed()
         positions = self.yield_of(node_id)
         if not positions:
             return False
@@ -279,7 +326,7 @@ class Passage:
 
     def is_reentrant(self, node_id: NodeId) -> bool:
         """True iff the node has at least two incoming edges."""
-        self._require_sealed()
+        self.require_sealed()
         return len(self.incoming(node_id)) >= 2
 
     # -- comparison --------------------------------------------------------
@@ -319,9 +366,25 @@ class Passage:
         if self._sealed:
             raise SealedPassage(f"passage {self.passage_id} is sealed")
 
-    def _require_sealed(self) -> None:
-        if not self._sealed:
-            raise GraphError("passage must be sealed first; call freeze()")
+    def _link(self, edge: Edge) -> None:
+        """Append an edge after every check that needs no graph search."""
+        parent, child = edge.parent, edge.child
+        parent_node, child_node = self.node(parent), self.node(child)
+        if parent_node.kind is not NodeKind.NON_TERMINAL:
+            raise TerminalAsParent(
+                f"{parent_node.kind.value} node {parent} cannot have children"
+            )
+        if edge.remote and child_node.is_terminal and is_punctuation(child_node.text):
+            raise GraphError(f"remote edge may not point at punctuation terminal {child}")
+        # A child has one primary parent and few remote ones: a short scan.
+        for e in self._in[child]:
+            if e == edge:
+                raise DuplicateEdge(f"duplicate edge {parent} -{edge.category}-> {child}")
+            if not (edge.remote or e.remote):
+                raise DuplicatePrimaryParent(f"{child} already has a primary parent")
+        self._edges.append(edge)
+        self._out[parent].append(edge)
+        self._in[child].append(edge)
 
     def _reaches(self, start: NodeId, target: NodeId) -> bool:
         """DFS over the full edge set."""
@@ -357,32 +420,24 @@ class Passage:
                     stack.append((edge.child, iter(self._out[edge.child])))
         return None
 
-    def _yield(self, node_id: NodeId) -> tuple[int, ...]:
-        """Post-order over primary edges with an explicit stack, filling the
-        cache bottom-up, so nesting depth is not bounded by recursion."""
-        cache = self._yield_cache
-        stack = [node_id]
-        while stack:
-            nid = stack[-1]
-            if nid in cache:
-                stack.pop()
-                continue
+    def _fill_yields(self) -> None:
+        """Every yield in one bottom-up pass.  Sibling yields in the primary
+        tree are disjoint, so a unit's yield is its children's joined and
+        sorted."""
+        yields = self._yields
+        for nid in self.bottom_up():
             node = self._nodes[nid]
             if node.is_terminal:
-                cache[nid] = (node.position,)
-                stack.pop()
+                yields[nid] = (node.position,)
                 continue
-            children = [e.child for e in self._out[nid] if not e.remote]
-            pending = [c for c in children if c not in cache]
-            if pending:
-                stack.extend(pending)
-                continue
-            positions: set[int] = set()
-            for child in children:
-                positions.update(cache[child])
-            cache[nid] = tuple(sorted(positions))
-            stack.pop()
-        return cache[node_id]
+            joined = [
+                position
+                for e in self._out[nid]
+                if not e.remote
+                for position in yields[e.child]
+            ]
+            joined.sort()
+            yields[nid] = tuple(joined)
 
 
 def build_passage(passage_id: str, tokens: Iterable[str]) -> Passage:

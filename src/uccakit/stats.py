@@ -50,7 +50,7 @@ class StatsReport:
         return {code: _pct(n, self.edges) for code, n in sorted(self.category_counts.items())}
 
     def add_passage(self, passage: Passage) -> None:
-        passage._require_sealed()
+        passage.require_sealed()
         self.passages += 1
         self.sentences += passage.num_sentences
         self.tokens += len(passage.terminals)

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .categories import ALL_CODES, LEGACY, LEGACY_REPLACEMENT, PUNCT_CODE
-from .graph import NodeKind, Passage, is_punctuation
+from .graph import Passage, is_punctuation
 
 RULES = {
     "V0": "no legacy T/Q labels remain",
@@ -66,46 +66,34 @@ class ValidationReport:
 def normalize(passage: Passage) -> Passage:
     """Relabel every T edge to D and every Q edge to E.
 
-    Returns a new sealed passage; everything except the legacy category
-    codes is preserved.  Idempotent, and a no-op passage is returned as is.
+    An unsealed input is frozen first.  Returns a new sealed passage that
+    shares the input's nodes and yields, with fresh edges; everything except
+    the legacy category codes is preserved, and the input keeps its labels.
+    Idempotent, and a no-op passage is returned as is.
     """
+    passage.freeze()
     if not any(e.category.is_legacy() for e in passage.edges):
-        return passage.freeze() if not passage.sealed else passage
-    fresh = Passage(
-        passage.passage_id,
-        passage.tokens,
-        root_id=passage.root,
-        num_sentences=passage.num_sentences,
-    )
-    for node in passage.nodes:
-        if node.kind is not NodeKind.TERMINAL and node.id != passage.root:
-            fresh.add_node(node.kind, node_id=node.id)
-    seen = set()
-    for edge in passage.edges:
-        code = LEGACY_REPLACEMENT.get(edge.category.code, edge.category.code)
-        key = (edge.parent, edge.child, code, edge.remote)
-        if key in seen:
-            continue  # relabeling collapsed this edge onto an existing one
-        seen.add(key)
-        fresh.add_edge(edge.parent, edge.child, code, remote=edge.remote)
-    return fresh.freeze()
+        return passage
+    return passage.relabeled(LEGACY_REPLACEMENT)
 
 
 def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport:
     """Check a sealed passage against the enabled rules."""
     rules = rules or RuleSet()
-    passage._require_sealed()
+    passage.require_sealed()
     report = ValidationReport(passage.passage_id)
 
     def flag(rule: str, ref, message: str) -> None:
         report.violations.append(Violation(rule, str(ref), message))
 
+    def edge_ref(edge) -> str:
+        return f"{edge.parent}->{edge.child}"
+
     for edge in passage.edges:
-        ref = f"{edge.parent}->{edge.child}"
         if "V0" in rules and edge.category.code in LEGACY:
-            flag("V0", ref, f"legacy label {edge.category.code}; run normalize first")
+            flag("V0", edge_ref(edge), f"legacy label {edge.category.code}; run normalize first")
         if "V4" in rules and edge.category.code not in ALL_CODES:
-            flag("V4", ref, f"category {edge.category.code} outside the inventory")
+            flag("V4", edge_ref(edge), f"category {edge.category.code} outside the inventory")
 
     if "V1" in rules or "V2" in rules:
         for unit in passage.non_terminals:
@@ -126,10 +114,9 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
             child = passage.node(edge.child)
             punct = child.is_terminal and is_punctuation(child.text)
             if punct and edge.category.code != PUNCT_CODE:
-                flag("V3", f"{edge.parent}->{edge.child}",
+                flag("V3", edge_ref(edge),
                      f"punctuation token attached as {edge.category.code}, expected U")
             if not punct and edge.category.code == PUNCT_CODE:
-                flag("V3", f"{edge.parent}->{edge.child}",
-                     "U edge points at a non-punctuation node")
+                flag("V3", edge_ref(edge), "U edge points at a non-punctuation node")
 
     return report

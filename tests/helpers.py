@@ -159,3 +159,48 @@ def oracle_scores(output: Passage, gold: Passage, include_punct=True) -> dict:
 
 def counts_triple(counts) -> tuple[int, int, int]:
     return (counts.matched, counts.predicted, counts.gold)
+
+
+def deep_center_chain(depth: int = 1500) -> Passage:
+    """The F token 1 and a chain of `depth` nested C units over token 2,
+    both under the root.  The first token's head is the root's, which lies
+    at the bottom of a chain deeper than the interpreter's recursion limit."""
+    p = build_passage("chain", ["is", "it"])
+    p.add_edge(p.root, p.terminal_id(1), "F")
+    unit = p.root
+    for _ in range(depth):
+        child = p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(unit, child, "C")
+        unit = child
+    p.add_edge(unit, p.terminal_id(2), "C")
+    return p.freeze()
+
+
+def _document(units: str) -> bytes:
+    return f"""<?xml version='1.0' encoding='utf-8'?>
+<root passageID="cyclic">
+  <layer layerID="0">
+    <node ID="0.1" type="Word"><attributes text="a"/></node>
+    <node ID="0.2" type="Word"><attributes text="b"/></node>
+  </layer>
+  <layer layerID="1">{units}
+  </layer>
+</root>
+""".encode()
+
+
+#: Documents whose edges close a cycle, keyed by the kind of edge closing it.
+CYCLIC_DOCUMENTS = {
+    # Two Scenes under the root, each reaching the other remotely.
+    "remote": _document("""
+    <node ID="1.1" type="FN"><edge toID="1.2" type="H"/><edge toID="1.3" type="H"/></node>
+    <node ID="1.2" type="FN"><edge toID="0.1" type="P"/>
+      <edge toID="1.3" type="A"><attributes remote="True"/></edge></node>
+    <node ID="1.3" type="FN"><edge toID="0.2" type="P"/>
+      <edge toID="1.2" type="A"><attributes remote="True"/></edge></node>"""),
+    # Two units that are each other's primary parent, cut off from the root.
+    "primary": _document("""
+    <node ID="1.1" type="FN"><edge toID="0.1" type="H"/></node>
+    <node ID="1.2" type="FN"><edge toID="1.3" type="A"/><edge toID="0.2" type="P"/></node>
+    <node ID="1.3" type="FN"><edge toID="1.2" type="A"/></node>"""),
+}

@@ -6,7 +6,7 @@ from uccakit import cli
 from uccakit.formats import parse_xml, serialize_xml
 from uccakit.samples import implicit_sample, remote_sample
 
-from .helpers import rebuild, relabel
+from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, rebuild, relabel
 
 
 @pytest.fixture
@@ -166,6 +166,16 @@ class TestValidate:
         assert record["rule"] == "V0"
 
 
+    @pytest.mark.parametrize("closing_edge", sorted(CYCLIC_DOCUMENTS))
+    def test_cyclic_document_names_file(self, capsys, tmp_path, closing_edge):
+        path = tmp_path / "cyclic.xml"
+        path.write_bytes(CYCLIC_DOCUMENTS[closing_edge])
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cyclic.xml" in err and "Traceback" not in err
+
+
 class TestNormalize:
     def test_writes_relabeled_files(self, capsys, tmp_path):
         src = tmp_path / "src"
@@ -215,6 +225,17 @@ class TestConvert:
         lines = (out_dir / "one.tsv").read_text().splitlines()
         assert lines[0] == "1\tAfter\t2\tL"
         assert len(lines) == 7
+
+
+    def test_bilexical_deep_chain(self, capsys, tmp_path):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "chain.xml").write_bytes(serialize_xml(deep_center_chain()))
+        out_dir = tmp_path / "dep"
+        code, _, err = run(capsys, "convert", str(src), "--to", "bilexical", "--out", str(out_dir))
+        assert code == 0
+        assert err == ""
+        assert (out_dir / "chain.tsv").read_text() == "1\tis\t2\tF\n2\tit\t0\troot\n"
 
 
 class TestUsage:

@@ -16,6 +16,7 @@ from uccakit.evaluation import (
     score_passage,
 )
 from uccakit.graph import NodeKind, build_passage
+from uccakit.validation import normalize
 
 from .helpers import (
     counts_triple,
@@ -27,6 +28,23 @@ from .helpers import (
 )
 
 pairs = st.integers(0, 2**32 - 1).map(lambda seed: random_pair(random.Random(seed)))
+
+
+def legacy_pair(rng):
+    first = random_passage(rng, "pair", legacy_labels=True)
+    return first, random_passage(rng, "pair", tokens=list(first.tokens), legacy_labels=True)
+
+
+legacy_pairs = st.integers(0, 2**32 - 1).map(lambda seed: legacy_pair(random.Random(seed)))
+
+
+def assert_matches_oracle(output, gold, include_punct):
+    scores = score_passage(output, gold, include_punct)
+    reference = oracle_scores(output, gold, include_punct)
+    for key, strata in (("labeled", scores.labeled), ("unlabeled", scores.unlabeled)):
+        for stratum in STRATA:
+            assert counts_triple(strata[stratum]) == reference[key][stratum]
+    assert {c: counts_triple(n) for c, n in scores.by_category.items()} == reference["by_category"]
 
 
 def drop_remote(passage):
@@ -167,6 +185,18 @@ class TestScoreCorpus:
         assert {
             c: counts_triple(n) for c, n in scores.by_category.items()
         } == reference["by_category"]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs)
+    def test_matches_oracle_without_punct(self, pair):
+        assert_matches_oracle(*pair, include_punct=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(legacy_pairs, st.booleans())
+    def test_matches_oracle_after_normalize(self, pair, include_punct):
+        output, gold = (normalize(p) for p in pair)
+        assert_matches_oracle(output, gold, include_punct)
 
 
 class TestInvariants:

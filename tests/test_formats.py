@@ -1,4 +1,5 @@
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from uccakit.errors import (
     DanglingReference,
+    GraphError,
     StructuralViolation,
     UnknownCategory,
     XmlFormatError,
@@ -19,10 +21,10 @@ from uccakit.formats import (
     render_bilexical,
     serialize_xml,
 )
-from uccakit.graph import NodeKind, build_passage
+from uccakit.graph import NodeKind, Passage, build_passage
 from uccakit.validation import normalize
 
-from .helpers import random_passage
+from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, random_passage
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
@@ -94,6 +96,35 @@ class TestParseXml:
         doc = MINIMAL.replace(b'type="H"', b'type="T"')
         p = parse_xml(doc)
         assert p.edges[0].category.code == "T"
+
+    @pytest.mark.parametrize("closing_edge", sorted(CYCLIC_DOCUMENTS))
+    def test_cycle_rejected(self, closing_edge):
+        with pytest.raises(GraphError):
+            parse_xml(CYCLIC_DOCUMENTS[closing_edge])
+
+    def test_loading_runs_no_cycle_search(self, monkeypatch):
+        # A loaded document is checked for cycles once, at freeze.  Listing
+        # the chain 1.1 -> 1.2 -> 1.3 -> 1.4 as 1.4, 1.2, 1.3, 1.1 gives the
+        # edge 1.3 -> 1.4 a parent with a parent and a child with a child.
+        p = build_passage("chain", ["x", "y"])
+        unit = p.root
+        for _ in range(3):
+            child = p.add_node(NodeKind.NON_TERMINAL)
+            p.add_edge(unit, child, "C")
+            unit = child
+        p.add_edge(unit, p.terminal_id(1), "C")
+        p.add_edge(p.root, p.terminal_id(2), "F")
+        p.freeze()
+        document = ET.fromstring(serialize_xml(p))
+        layer1 = next(l for l in document.findall("layer") if l.get("layerID") == "1")
+        units = {node.get("ID"): node for node in layer1.findall("node")}
+        layer1[:] = [units[nid] for nid in ("1.4", "1.2", "1.3", "1.1")]
+
+        def no_search(*args):
+            raise AssertionError("cycle search while loading")
+
+        monkeypatch.setattr(Passage, "_reaches", no_search)
+        assert parse_xml(ET.tostring(document)) == p
 
 
 class TestSerializeXml:
@@ -185,6 +216,13 @@ class TestExportBilexical:
     def test_legacy_labels_export_as_normalized(self, seed):
         p = random_passage(random.Random(seed), legacy_labels=True)
         assert export_bilexical(p) == export_bilexical(normalize(p))
+
+    def test_deep_chain_under_function_token(self):
+        # The first token's head is resolved at the bottom of the chain.
+        assert export_bilexical(deep_center_chain()) == [
+            BilexicalRow(1, "is", 2, "F"),
+            BilexicalRow(2, "it", 0, "root"),
+        ]
 
     def test_rendering(self, remote_passage):
         text = render_bilexical(export_bilexical(remote_passage))

@@ -218,6 +218,11 @@ class TestFreeze:
             p.freeze()
         assert exc.value.rule == "acyclicity"
 
+    def test_require_sealed(self, remote_passage):
+        remote_passage.require_sealed()
+        with pytest.raises(GraphError):
+            build_passage("p", ["x"]).require_sealed()
+
     def test_sealed_is_immutable(self, remote_passage):
         with pytest.raises(SealedPassage):
             remote_passage.add_node(NodeKind.NON_TERMINAL)
@@ -297,6 +302,16 @@ class TestYield:
                     frontier.append(edge.child)
         assert primary == len(reachable) - 1
         assert reachable == {n.id for n in p.nodes}
+
+
+    @given(passages)
+    def test_bottom_up_puts_children_first(self, p):
+        order = p.bottom_up()
+        assert sorted(order) == sorted(n.id for n in p.nodes)
+        rank = {nid: k for k, nid in enumerate(order)}
+        for edge in p.edges:
+            if not edge.remote:
+                assert rank[edge.child] < rank[edge.parent]
 
 
 class TestDiscontinuity:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uccakit.categories import LEGACY_REPLACEMENT
 from uccakit.graph import NodeKind, build_passage
 from uccakit.validation import RuleSet, normalize, validate
 
@@ -63,6 +64,37 @@ class TestNormalize:
         ] == expected
         for node in p.nodes:
             assert q.yield_of(node.id) == p.yield_of(node.id)
+
+
+    @settings(max_examples=200)
+    @given(legacy_passages)
+    def test_relabeling_equals_rebuilding(self, p):
+        labels = [e.category.code for e in p.edges]
+        seen = set()
+
+        def edit(e):
+            code = LEGACY_REPLACEMENT.get(e.category.code, e.category.code)
+            key = (e.parent, e.child, code, e.remote)
+            if key in seen:
+                return None
+            seen.add(key)
+            return relabel(e, code)
+
+        rebuilt = rebuild(p, edit)
+        q = normalize(p)
+        assert q.sealed and q == rebuilt
+        for node in p.nodes:
+            assert q.yield_of(node.id) == rebuilt.yield_of(node.id)
+        assert [e.category.code for e in p.edges] == labels
+
+    def test_unsealed_input_is_frozen_first(self):
+        raw = build_passage("p", ["a", "b"])
+        raw.add_edge(raw.root, raw.terminal_id(1), "T")
+        raw.add_edge(raw.root, raw.terminal_id(2), "C")
+        p = normalize(raw)
+        assert raw.sealed and p.sealed
+        assert [e.category.code for e in p.edges] == ["D", "C"]
+        assert [e.category.code for e in raw.edges] == ["T", "C"]
 
 
 class TestRuleSet:
@@ -133,6 +165,24 @@ class TestValidate:
         lines = [json.loads(line) for line in report.to_json_lines().splitlines()]
         assert lines and lines[0]["rule"] == "V0"
         assert set(lines[0]) == {"passage", "rule", "ref", "message"}
+
+    def test_violation_order_and_refs(self):
+        # Edge rules V0/V4 in edge order, then V1/V2 per unit, then V3.
+        p = build_passage("p", ["x", ",", "y", "z"])
+        scene = p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(p.root, scene, "H")
+        p.add_edge(p.root, p.terminal_id(2), "Q")
+        p.add_edge(scene, p.terminal_id(1), "P")
+        p.add_edge(scene, p.terminal_id(3), "S")
+        p.add_edge(scene, p.terminal_id(4), "T")
+        report = validate(p.freeze())
+        assert [(v.rule, v.ref) for v in report.violations] == [
+            ("V0", "1.1->0.2"),
+            ("V0", "1.2->0.4"),
+            ("V1", "1.2"),
+            ("V2", "1.2"),
+            ("V3", "1.1->0.2"),
+        ]
 
     def test_removing_participants_fires_v2(self, remote_passage):
         stripped = rebuild(
