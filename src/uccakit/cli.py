@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: evaluate, validate, normalize, stats, convert.  Inputs are
-passage XML files or directories of them.  Exit codes: 0 success, 1 usage
-error, 2 parse error (offending file named on stderr), 3 token mismatch
-between system and gold, 4 validation violations under --strict.
+passage XML files or directories of them.  Exit codes: 0 success, 1 usage error or
+output closed early (`| head`), 2 parse error (offending file named on stderr),
+3 token mismatch between system and gold, 4 validation violations under --strict.
 """
 from __future__ import annotations
 
@@ -136,7 +136,7 @@ def _cmd_convert(args) -> int:
                 formats.export_text(passage) + "\n", encoding="utf-8"
             )
         else:
-            rows = formats.export_bilexical(validation.normalize(passage))
+            rows = formats.export_bilexical(passage)
             (out_dir / f"{path.stem}.tsv").write_text(
                 formats.render_bilexical(rows), encoding="utf-8"
             )
@@ -188,7 +188,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # see "Note on SIGPIPE" in the signal module docs
+        # Point stdout at devnull so the interpreter's final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except _ParseFailure as exc:
         print(f"{exc.path}: {exc.cause}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,22 +1,31 @@
 """Passage serialization: XML, plain text and bi-lexical dependencies.
 
-The XML layout:
+The XML layout, as serialize_xml writes it byte for byte, ending in a newline:
 
+    <?xml version='1.0' encoding='utf-8'?>
     <root passageID="...">
       <layer layerID="0">
         <node ID="0.1" type="Word">
-          <attributes text="..." paragraph="1" paragraph_position="1"/>
+          <attributes text="..." paragraph="1" paragraph_position="1" />
         </node>
-        ...
       </layer>
       <layer layerID="1">
         <node ID="1.1" type="FN">
-          <edge toID="0.1" type="L"/>
-          <edge toID="0.4" type="A"><attributes remote="True"/></edge>
+          <edge toID="0.1" type="L" />
+          <edge toID="0.4" type="A">
+            <attributes remote="True" />
+          </edge>
         </node>
-        <node ID="1.5" type="FN"><attributes implicit="True"/></node>
+        <node ID="1.5" type="FN">
+          <attributes implicit="True" />
+        </node>
+        <node ID="1.6" type="FN" />
       </layer>
     </root>
+
+Attribute values escape & < > " tab LF CR as &amp; &lt; &gt; &quot; &#09; &#10;
+&#13;, and a lone surrogate becomes a character reference: ElementTree's bytes,
+but from this module's own writer, so they do not depend on the Python version.
 
 Terminal order in layer 0 is document order and defines token positions.
 The root unit is the unique layer-1 node with no incoming edge.
@@ -41,7 +50,7 @@ def parse_xml(document: bytes | str) -> Passage:
     """Read one passage document and return it sealed."""
     try:
         root = ET.fromstring(document)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the latter two: bad encoding
         raise XmlSyntax(f"malformed XML: {exc}") from None
     if root.tag != "root" or "passageID" not in root.attrib:
         raise XmlFormatError("expected a <root passageID=...> document element")
@@ -61,8 +70,8 @@ def parse_xml(document: bytes | str) -> Passage:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
         tokens.append(attributes.attrib["text"])
 
-    units: list[tuple[NodeId, NodeKind, list[tuple[str, str, bool]]]] = []
-    referenced: set[str] = set()
+    units: list[tuple[NodeId, NodeKind]] = []
+    written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
     ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by text
     for node in layers["1"].findall("node"):
         try:
@@ -74,8 +83,7 @@ def parse_xml(document: bytes | str) -> Passage:
         ids[str(nid)] = nid
         attributes = node.find("attributes")
         implicit = attributes is not None and attributes.attrib.get("implicit") == "True"
-        kind = NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL
-        edges = []
+        units.append((nid, NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL))
         for edge in node.findall("edge"):
             to_id = edge.attrib.get("toID")
             code = edge.attrib.get("type")
@@ -83,59 +91,56 @@ def parse_xml(document: bytes | str) -> Passage:
                 raise XmlFormatError(f"edge under {nid} lacks toID or type")
             edge_attrs = edge.find("attributes")
             remote = edge_attrs is not None and edge_attrs.attrib.get("remote") == "True"
-            edges.append((to_id, code, remote))
-            referenced.add(to_id)
-        units.append((nid, kind, edges))
-
-    roots = [nid for nid, _, _ in units if str(nid) not in referenced]
-    if len(roots) != 1:
-        raise XmlFormatError(f"expected exactly one root unit, found {len(roots)}")
+            written.append((nid, to_id, code, remote))
 
     ids.update((f"0.{k}", NodeId(0, k)) for k in range(1, len(tokens) + 1))
+    edges = []
+    for nid, to_id, code, remote in written:
+        # A toID not written as str(NodeId) is parsed, then looked up.
+        child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
+        if child is None:
+            raise DanglingReference(f"edge toID={to_id} is not a declared node")
+        edges.append(Edge(nid, child, Category.from_code(code), remote))
 
-    def resolved_edges():
-        for nid, _, edges in units:
-            for to_id, code, remote in edges:
-                # A toID not written as str(NodeId) is parsed, then looked up.
-                child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
-                if child is None:
-                    raise DanglingReference(f"edge toID={to_id} is not a declared node")
-                yield Edge(nid, child, Category.from_code(code), remote)
+    referenced = {edge.child for edge in edges}
+    roots = [nid for nid, _ in units if nid not in referenced]
+    if len(roots) != 1:
+        raise XmlFormatError(f"expected exactly one root unit, found {len(roots)}")
+    others = [unit for unit in units if unit[0] != roots[0]]
+    return Passage.assemble(passage_id, tokens, roots[0], others, edges)
 
-    others = [(nid, kind) for nid, kind, _ in units if nid != roots[0]]
-    return Passage.assemble(passage_id, tokens, roots[0], others, resolved_edges())
+
+#: Attribute value escapes, the same as ElementTree's.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                          "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
 
 def serialize_xml(passage: Passage) -> bytes:
     """Deterministic UTF-8 document: nodes in id order, edges in insertion
     order.  parse_xml(serialize_xml(p)) is structurally identical to p."""
     passage.require_sealed()
-    root = ET.Element("root", passageID=passage.passage_id)
-    layer0 = ET.SubElement(root, "layer", layerID="0")
-    for terminal in passage.terminals:
-        kind = "Punctuation" if is_punctuation(terminal.text) else "Word"
-        node = ET.SubElement(layer0, "node", ID=str(terminal.id), type=kind)
-        ET.SubElement(
-            node,
-            "attributes",
-            text=terminal.text,
-            paragraph="1",
-            paragraph_position=str(terminal.position),
-        )
-    layer1 = ET.SubElement(root, "layer", layerID="1")
-    units = sorted(
-        (n for n in passage.nodes if not n.is_terminal), key=lambda n: n.id
-    )
-    for unit in units:
-        node = ET.SubElement(layer1, "node", ID=str(unit.id), type="FN")
-        if unit.kind is NodeKind.IMPLICIT:
-            ET.SubElement(node, "attributes", implicit="True")
-        for edge in passage.outgoing(unit.id):
-            elem = ET.SubElement(node, "edge", toID=str(edge.child), type=edge.category.code)
-            if edge.remote:
-                ET.SubElement(elem, "attributes", remote="True")
-    ET.indent(root)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+    lines = ["<?xml version='1.0' encoding='utf-8'?>",
+             f'<root passageID="{passage.passage_id.translate(_ESCAPES)}">',
+             '  <layer layerID="0">']
+    for t in passage.terminals:
+        kind = "Punctuation" if is_punctuation(t.text) else "Word"
+        text = t.text.translate(_ESCAPES)
+        lines += (f'    <node ID="0.{t.position}" type="{kind}">',
+                  f'      <attributes text="{text}" paragraph="1" paragraph_position="{t.position}" />',
+                  "    </node>")
+    lines += ("  </layer>", '  <layer layerID="1">')
+    for unit in sorted((n for n in passage.nodes if not n.is_terminal), key=lambda n: n.id):
+        body = ['      <attributes implicit="True" />'] if unit.kind is NodeKind.IMPLICIT else []
+        for e in passage.outgoing(unit.id):
+            edge = f'      <edge toID="{e.child}" type="{e.category.code}"'
+            if e.remote:
+                body += (edge + ">", '        <attributes remote="True" />', "      </edge>")
+            else:
+                body.append(edge + " />")
+        node = f'    <node ID="{unit.id}" type="FN"'
+        lines += (node + ">", *body, "    </node>") if body else (node + " />",)
+    lines += ("  </layer>", "</root>", "")
+    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
 
 
 # -- plain text -----------------------------------------------------------

@@ -8,6 +8,7 @@ match count by maximum bipartite matching over individual edge pairs.
 from __future__ import annotations
 
 import random
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 from uccakit.categories import FOUNDATIONAL
@@ -204,3 +205,38 @@ CYCLIC_DOCUMENTS = {
     <node ID="1.2" type="FN"><edge toID="1.3" type="A"/><edge toID="0.2" type="P"/></node>
     <node ID="1.3" type="FN"><edge toID="1.2" type="A"/></node>"""),
 }
+
+
+# -- reference XML writer -------------------------------------------------
+
+
+def reference_serialize_xml(passage: Passage) -> bytes:
+    """The ElementTree writer that formats.serialize_xml replaced, kept as
+    the oracle its output must match byte for byte."""
+    passage.require_sealed()
+    root = ET.Element("root", passageID=passage.passage_id)
+    layer0 = ET.SubElement(root, "layer", layerID="0")
+    for terminal in passage.terminals:
+        kind = "Punctuation" if is_punctuation(terminal.text) else "Word"
+        node = ET.SubElement(layer0, "node", ID=str(terminal.id), type=kind)
+        ET.SubElement(
+            node,
+            "attributes",
+            text=terminal.text,
+            paragraph="1",
+            paragraph_position=str(terminal.position),
+        )
+    layer1 = ET.SubElement(root, "layer", layerID="1")
+    units = sorted(
+        (n for n in passage.nodes if not n.is_terminal), key=lambda n: n.id
+    )
+    for unit in units:
+        node = ET.SubElement(layer1, "node", ID=str(unit.id), type="FN")
+        if unit.kind is NodeKind.IMPLICIT:
+            ET.SubElement(node, "attributes", implicit="True")
+        for edge in passage.outgoing(unit.id):
+            elem = ET.SubElement(node, "edge", toID=str(edge.child), type=edge.category.code)
+            if edge.remote:
+                ET.SubElement(elem, "attributes", remote="True")
+    ET.indent(root)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"

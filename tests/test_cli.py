@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from uccakit import cli
 from uccakit.formats import parse_xml, serialize_xml
 from uccakit.samples import implicit_sample, remote_sample
+from uccakit.validation import normalize
 
 from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, rebuild, relabel
 
@@ -236,6 +241,53 @@ class TestConvert:
         assert code == 0
         assert err == ""
         assert (out_dir / "chain.tsv").read_text() == "1\tis\t2\tF\n2\tit\t0\troot\n"
+
+    def test_bilexical_legacy_labels_as_normalized(self, capsys, tmp_path):
+        legacy = rebuild(
+            remote_sample(),
+            lambda e: relabel(e, "Q") if e.category.code == "R" else e,
+        )
+        tsv = {}
+        for name, passage in [("legacy", legacy), ("normalized", normalize(legacy))]:
+            src = tmp_path / name
+            src.mkdir()
+            (src / "p.xml").write_bytes(serialize_xml(passage))
+            out_dir = tmp_path / f"{name}-dep"
+            code, _, _ = run(
+                capsys, "convert", str(src), "--to", "bilexical", "--out", str(out_dir)
+            )
+            assert code == 0
+            tsv[name] = (out_dir / "p.tsv").read_bytes()
+        assert b"\tE\n" in tsv["legacy"]
+        assert tsv["legacy"] == tsv["normalized"]
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_no_traceback(self, tmp_path, command):
+        # The legacy label gives validate a violation line to print.
+        legacy = rebuild(
+            remote_sample(),
+            lambda e: relabel(e, "T") if e.category.code == "L" else e,
+        )
+        (tmp_path / "legacy.xml").write_bytes(serialize_xml(legacy))
+        src = str(Path(cli.__file__).parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # as `| head -0` does: every write to stdout fails
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "uccakit.cli", command, str(tmp_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == b""
+        assert result.returncode == cli.EXIT_USAGE
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from uccakit.errors import (
     DanglingReference,
+    UccaError,
     GraphError,
     StructuralViolation,
     UnknownCategory,
@@ -24,7 +26,12 @@ from uccakit.formats import (
 from uccakit.graph import NodeKind, Passage, build_passage
 from uccakit.validation import normalize
 
-from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, random_passage
+from .helpers import (
+    CYCLIC_DOCUMENTS,
+    deep_center_chain,
+    random_passage,
+    reference_serialize_xml,
+)
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
@@ -229,3 +236,119 @@ class TestExportBilexical:
         lines = text.splitlines()
         assert lines[0] == "1\tAfter\t2\tL"
         assert text.endswith("\n")
+
+
+class TestNonCanonicalIds:
+    def test_unit_referenced_with_leading_zero(self):
+        # 1.2 is written as 1.02 in its toID; it must not count as a root.
+        doc = MINIMAL.replace(
+            b'<node ID="1.1" type="FN"><edge toID="0.1" type="H"/></node>',
+            b'<node ID="1.1" type="FN"><edge toID="1.02" type="H"/></node>\n'
+            b'    <node ID="1.2" type="FN"><edge toID="0.1" type="C"/></node>',
+        )
+        p = parse_xml(doc)
+        assert p == parse_xml(doc.replace(b'toID="1.02"', b'toID="1.2"'))
+        assert [str(e.child) for e in p.edges] == ["1.2", "0.1"]
+
+
+#: Text for tokens and passage ids: every character attribute escaping
+#: touches, non-ASCII text, DEL and a lone surrogate.
+AWKWARD_TEXT = st.text(
+    st.sampled_from(list("&<>\"'\t\n\r") + ["a", "é", "漢", "😀", "\x7f", "\ud800", ","]),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def awkward_passages(draw):
+    tokens = draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_passage(rng, draw(AWKWARD_TEXT), tokens=tokens, max_remotes=3)
+
+
+def every_feature_passage() -> Passage:
+    """Escaped text, an implicit unit, a childless unit and a remote edge."""
+    tokens = ["a&b", "<i>", 'say "hi"', "tab\there", "line\nbreak\r", "漢字", "\ud800x"]
+    p = build_passage("id &<>\"'\t\n\r é \x7f \ud800", tokens)
+    scene = p.add_node(NodeKind.NON_TERMINAL)
+    p.add_edge(p.root, scene, "H")
+    p.add_edge(p.root, p.add_node(NodeKind.NON_TERMINAL), "D")  # childless
+    p.add_edge(scene, p.add_node(NodeKind.IMPLICIT), "A")
+    for position in range(1, len(tokens) + 1):
+        p.add_edge(scene, p.terminal_id(position), "C")
+    p.add_edge(p.root, p.terminal_id(6), "A", remote=True)
+    return p.freeze()
+
+
+class TestSerializeXmlBytes:
+    @pytest.mark.parametrize("name", ["sample_remote.xml", "sample_implicit.xml"])
+    def test_golden_files_round_trip_to_the_byte(self, data_dir, name):
+        document = (data_dir / name).read_bytes()
+        assert serialize_xml(parse_xml(document)) == document
+
+    def test_every_feature_matches_reference(self):
+        p = every_feature_passage()
+        document = serialize_xml(p)
+        assert document == reference_serialize_xml(p)
+        assert b'<node ID="1.3" type="FN" />' in document
+        assert b'<attributes implicit="True" />' in document
+        assert b'<attributes remote="True" />' in document
+        assert b"&#55296;" in document  # a lone surrogate as a character reference
+        assert document.endswith(b"</root>\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(awkward_passages())
+    def test_matches_reference_writer(self, p):
+        assert serialize_xml(p) == reference_serialize_xml(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_reference_writer_on_normalized(self, seed):
+        p = normalize(random_passage(random.Random(seed), legacy_labels=True))
+        assert serialize_xml(p) == reference_serialize_xml(p)
+
+
+#: Replacement values for ID, toID and type attributes in the fuzz test.
+MUTANT_VALUES = [
+    "", "0", "1", "0.0", "1.0", "0.1", "1.1", "1.2", "1.02", "01.1", "2.1", "1.99",
+    "0.99", "-1.1", "1.-1", "1.1.1", "1_0.1", "\u0661.\u0661", "x", "T", "Z", "H", "FN",
+]
+_MUTABLE_VALUE = re.compile(rb'\b(?:ID|toID|type)="([^"]*)"')
+
+
+def mutate(document: bytes, data) -> bytes:
+    """One random edit: a byte flip, a deleted or duplicated line, or a new
+    ID, toID or type value."""
+    kind = data.draw(st.sampled_from(["flip", "delete", "duplicate", "value"]))
+    if kind == "flip":
+        i = data.draw(st.integers(0, len(document) - 1))
+        return document[:i] + bytes([data.draw(st.integers(0, 255))]) + document[i + 1 :]
+    if kind == "value":
+        match = data.draw(st.sampled_from(list(_MUTABLE_VALUE.finditer(document))))
+        value = data.draw(st.sampled_from(MUTANT_VALUES)).encode()
+        return document[: match.start(1)] + value + document[match.end(1) :]
+    lines = document.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i : i + 1] = [] if kind == "delete" else [lines[i], lines[i]]
+    return b"\n".join(lines)
+
+
+class TestParserFuzz:
+    # Unknown or unusable encodings made expat's caller raise LookupError
+    # or ValueError rather than a parse error.
+    @pytest.mark.parametrize("encoding", [b"utf-9", b"rot13", b"utf-7", b"idna"])
+    def test_bad_encoding_is_a_syntax_error(self, encoding):
+        with pytest.raises(XmlSyntax):
+            parse_xml(MINIMAL.replace(b"utf-8", encoding))
+
+    @settings(max_examples=300, deadline=None)
+    @given(passages, st.data())
+    def test_mutants_load_or_raise_ucca_errors(self, p, data):
+        mutant = mutate(serialize_xml(p), data)
+        try:
+            again = parse_xml(mutant)
+        except UccaError:
+            return
+        assert again.sealed
+
