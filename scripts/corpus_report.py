@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print structural statistics for one or more corpus directories.
 
-Each argument is a directory of passage XML files; one table column is
-printed per directory, mirroring the usual corpus-overview layout.
+Each argument is a directory of passage XML files.  Passages are
+normalized before they are counted, and one table column is printed per
+directory, with the same rows as `uccakit stats`.
 
     python3 scripts/corpus_report.py data/wiki data/20k-de
 """
@@ -12,47 +13,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from uccakit.categories import ALL_CODES, REPORT_ORDER
 from uccakit.formats import parse_xml
-from uccakit.stats import corpus_stats
+from uccakit.stats import corpus_stats, render_table
 from uccakit.validation import normalize
-
-
-def load_dir(path: Path):
-    for xml_file in sorted(path.glob("*.xml")):
-        yield normalize(parse_xml(xml_file.read_bytes()))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("corpora", nargs="+", type=Path, help="directories of passage XML")
     args = parser.parse_args()
-
-    reports = {d.name: corpus_stats(load_dir(d)) for d in args.corpora}
-    names = list(reports)
-    width = max([16] + [len(n) for n in names]) + 2
-
-    def row(label, values):
-        cells = "".join(f"{v:>{width}}" for v in values)
-        print(f"{label:<20}{cells}")
-
-    row("", names)
-    row("# passages", [r.passages for r in reports.values()])
-    row("# sentences", [r.sentences for r in reports.values()])
-    row("# tokens", [r.tokens for r in reports.values()])
-    row("# non-terminals", [r.non_terminals for r in reports.values()])
-    row("% discontinuous", [f"{r.pct_discontinuous:.2f}" for r in reports.values()])
-    row("% reentrant", [f"{r.pct_reentrant:.2f}" for r in reports.values()])
-    row("# edges", [r.edges for r in reports.values()])
-    row("% primary", [f"{r.pct_primary:.2f}" for r in reports.values()])
-    row("% remote", [f"{r.pct_remote:.2f}" for r in reports.values()])
-    print("by category")
-    for code in REPORT_ORDER:
-        if any(code in r.category_counts for r in reports.values()):
-            row(
-                f"  % {ALL_CODES[code]}",
-                [f"{r.by_category.get(code, 0.0):.2f}" for r in reports.values()],
-            )
+    files = {d: sorted(d.glob("*.xml")) for d in args.corpora}
+    empty = [d for d, paths in files.items() if not paths]
+    for d in empty:
+        print(f"{d}: not a directory of passage XML files", file=sys.stderr)
+    if empty:
+        return 1
+    print(render_table({
+        d.name: corpus_stats(normalize(parse_xml(f.read_bytes())) for f in paths)
+        for d, paths in files.items()
+    }))
     return 0
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import UnknownCategory
 
@@ -34,6 +35,12 @@ ALL_CODES: dict[str, str] = {**FOUNDATIONAL, PUNCT_CODE: "Punctuation", **LEGACY
 
 #: Fixed ordering used by fine-grained score and statistics reports.
 REPORT_ORDER = ["P", "S", "A", "D", "C", "E", "N", "R", "H", "L", "G", "F", "U"]
+
+
+def report_order(codes: Iterable[str]) -> list[str]:
+    """`codes` in REPORT_ORDER, then any others (legacy T/Q) sorted."""
+    codes = set(codes)
+    return [c for c in REPORT_ORDER if c in codes] + sorted(codes.difference(REPORT_ORDER))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .categories import ALL_CODES, PUNCT_CODE, REPORT_ORDER
+from .categories import ALL_CODES, PUNCT_CODE, report_order
 from .errors import TokenMismatch
 from .graph import Passage
 
@@ -193,8 +193,6 @@ def render_scores(
     if fine_grained and not unlabeled_only:
         lines.append("")
         lines.append(f"{'category':<22}{'P':>8}{'R':>8}{'F1':>8}   matched/predicted/gold")
-        order = [c for c in REPORT_ORDER if c in scores.by_category]
-        order += sorted(set(scores.by_category) - set(order))
-        for code in order:
+        for code in report_order(scores.by_category):
             lines.append(row(ALL_CODES.get(code, code), scores.by_category[code]))
     return "\n".join(lines)

@@ -40,7 +40,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .categories import LEGACY_REPLACEMENT, Category
-from .errors import DanglingReference, XmlFormatError, XmlSyntax
+from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax
 from .graph import Edge, Node, NodeId, NodeKind, Passage, is_punctuation
 
 # -- XML ------------------------------------------------------------------
@@ -76,7 +76,7 @@ def parse_xml(document: bytes | str) -> Passage:
     for node in layers["1"].findall("node"):
         try:
             nid = NodeId.parse(node.attrib.get("ID", ""))
-        except Exception:
+        except GraphError:
             raise XmlFormatError(f"bad unit ID: {node.attrib.get('ID')!r}") from None
         if str(nid) in ids:
             raise XmlFormatError(f"duplicate unit ID: {nid}")

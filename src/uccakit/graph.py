@@ -71,11 +71,11 @@ class NodeId(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
-        try:
-            layer, index = text.split(".")
-            return cls(int(layer), int(index))
-        except (ValueError, GraphError):
-            raise GraphError(f"malformed node id: {text!r}") from None
+        """Read "layer.index": ASCII digits only, leading zeros allowed."""
+        layer, _, index = text.partition(".")
+        if not (text.isascii() and layer.isdigit() and index.isdigit()):
+            raise GraphError(f"malformed node id: {text!r}")
+        return cls(int(layer), int(index))
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,11 @@ class Passage:
         passage_id: str,
         tokens: Iterable[str],
         root_id: NodeId | None = None,
-        num_sentences: int = 1,
     ):
         tokens = list(tokens)
         if not tokens:
             raise GraphError("a passage needs at least one token")
         self.passage_id = passage_id
-        self.num_sentences = num_sentences
         self._sealed = False
         self._nodes: dict[NodeId, Node] = {}
         self._edges: list[Edge] = []

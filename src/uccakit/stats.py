@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Mapping
 
-from .categories import ALL_CODES, REPORT_ORDER
+from .categories import ALL_CODES, report_order
 from .graph import Passage
 
 
@@ -18,7 +18,6 @@ class StatsReport:
     """
 
     passages: int = 0
-    sentences: int = 0
     tokens: int = 0
     non_terminals: int = 0
     discontinuous: int = 0
@@ -52,7 +51,6 @@ class StatsReport:
     def add_passage(self, passage: Passage) -> None:
         passage.require_sealed()
         self.passages += 1
-        self.sentences += passage.num_sentences
         self.tokens += len(passage.terminals)
         self.non_root_nodes += len(passage.nodes) - 1
         for unit in passage.non_terminals:
@@ -71,26 +69,25 @@ class StatsReport:
             self.category_counts[edge.category.code] += 1
 
     def merge(self, other: "StatsReport") -> "StatsReport":
-        merged = StatsReport()
-        for name in ("passages", "sentences", "tokens", "non_terminals", "discontinuous",
-                     "reentrant", "non_root_nodes", "edges", "primary", "remote"):
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
-        merged.category_counts = self.category_counts + other.category_counts
-        return merged
+        return StatsReport(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
     def to_dict(self) -> dict:
-        return {
-            "passages": self.passages,
-            "sentences": self.sentences,
-            "tokens": self.tokens,
-            "non_terminals": self.non_terminals,
-            "pct_discontinuous": round(self.pct_discontinuous, 2),
-            "pct_reentrant": round(self.pct_reentrant, 2),
-            "edges": self.edges,
-            "pct_primary": round(self.pct_primary, 2),
-            "pct_remote": round(self.pct_remote, 2),
-            "by_category": {c: round(p, 2) for c, p in self.by_category.items()},
-        }
+        payload = {key: _json_value(getattr(self, key)) for _, key in _ROWS}
+        payload["by_category"] = {c: round(p, 2) for c, p in self.by_category.items()}
+        return payload
+
+
+#: The headline statistics in table order: (table label, attribute and JSON key).
+_ROWS = [
+    ("# passages", "passages"),
+    ("# tokens", "tokens"),
+    ("# non-terminals", "non_terminals"),
+    ("% discontinuous", "pct_discontinuous"),
+    ("% reentrant", "pct_reentrant"),
+    ("# edges", "edges"),
+    ("% primary", "pct_primary"),
+    ("% remote", "pct_remote"),
+]
 
 
 def corpus_stats(passages: Iterable[Passage]) -> StatsReport:
@@ -101,28 +98,39 @@ def corpus_stats(passages: Iterable[Passage]) -> StatsReport:
     return report
 
 
-def render_table(report: StatsReport) -> str:
-    """Aligned text table, one statistic per row."""
-    rows: list[tuple[str, str]] = [
-        ("# passages", str(report.passages)),
-        ("# sentences", str(report.sentences)),
-        ("# tokens", str(report.tokens)),
-        ("# non-terminals", str(report.non_terminals)),
-        ("% discontinuous", f"{report.pct_discontinuous:.2f}"),
-        ("% reentrant", f"{report.pct_reentrant:.2f}"),
-        ("# edges", str(report.edges)),
-        ("% primary", f"{report.pct_primary:.2f}"),
-        ("% remote", f"{report.pct_remote:.2f}"),
+def render_table(reports: StatsReport | Mapping[str, StatsReport]) -> str:
+    """Aligned text table, one statistic per row.
+
+    One report gives one column of values.  A mapping from corpus name to
+    report gives one column per corpus, under a header row of the names.
+    """
+    named = not isinstance(reports, StatsReport)
+    columns = list(reports.values()) if named else [reports]
+    head = [("", list(reports))] if named else []
+    head += [(label, [_cell(getattr(r, key)) for r in columns]) for label, key in _ROWS]
+    shares = [r.by_category for r in columns]
+    by_category = [
+        (f"  % {ALL_CODES.get(code, code)}", [_cell(share.get(code, 0.0)) for share in shares])
+        for code in report_order(set().union(*shares))
     ]
-    seen = [c for c in REPORT_ORDER if c in report.category_counts]
-    seen += sorted(set(report.category_counts) - set(seen))
-    for code in seen:
-        rows.append((f"  % {ALL_CODES.get(code, code)}", f"{_pct(report.category_counts[code], report.edges):.2f}"))
-    width = max(len(label) for label, _ in rows)
-    lines = [f"{label:<{width}}  {value:>10}" for label, value in rows]
-    if seen:
-        lines.insert(9, "by category")
+    rows = head + by_category
+    label_width = max(len(label) for label, _ in rows)
+    widths = [max(10, *map(len, column)) for column in zip(*(cells for _, cells in rows))]
+    lines = [
+        f"{label:<{label_width}}" + "".join(f"  {cell:>{w}}" for cell, w in zip(cells, widths))
+        for label, cells in rows
+    ]
+    if by_category:
+        lines.insert(len(head), "by category")
     return "\n".join(lines)
+
+
+def _cell(value: int | float) -> str:
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
+def _json_value(value: int | float) -> int | float:
+    return round(value, 2) if isinstance(value, float) else value
 
 
 def _pct(part: int, whole: int) -> float:

@@ -185,4 +185,4 @@ def test_wiki_structure_reproduction():
 @criterion("German test split: exact sentence count")
 def test_german_test_split_count():
     report = corpus_stats(_corpus(GERMAN_TEST_ENV))
-    assert report.sentences == 652
+    assert report.passages == 652

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from uccakit import cli
+from uccakit import cli, stats
 from uccakit.formats import parse_xml, serialize_xml
 from uccakit.samples import implicit_sample, remote_sample
 from uccakit.validation import normalize
@@ -180,6 +180,14 @@ class TestValidate:
         assert out == ""
         assert "cyclic.xml" in err and "Traceback" not in err
 
+    def test_loose_node_id_names_file(self, capsys, tmp_path):
+        path = tmp_path / "loose.xml"
+        path.write_bytes(serialize_xml(remote_sample()).replace(b'toID="0.1"', b'toID="+0.1"'))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "loose.xml" in err and "Traceback" not in err
+
 
 class TestNormalize:
     def test_writes_relabeled_files(self, capsys, tmp_path):
@@ -209,6 +217,33 @@ class TestStats:
         payload = json.loads(raw)
         assert payload["tokens"] == 27
         assert f"{payload['pct_remote']:.2f}" in table
+
+
+class TestCorpusReport:
+    SCRIPT = Path(__file__).parents[1] / "scripts" / "corpus_report.py"
+
+    def run_script(self, *dirs):
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), *map(str, dirs)],
+            capture_output=True, text=True, timeout=60,
+        )
+
+    def test_one_column_per_directory(self, corpus_dir, degraded_dir):
+        result = self.run_script(corpus_dir, degraded_dir)
+        reports = {
+            d.name: stats.corpus_stats(normalize(parse_xml(f.read_bytes()))
+                                       for f in sorted(d.glob("*.xml")))
+            for d in (corpus_dir, degraded_dir)
+        }
+        assert result.returncode == 0
+        assert result.stdout == stats.render_table(reports) + "\n"
+
+    def test_missing_directory(self, corpus_dir, tmp_path):
+        missing = tmp_path / "missing"
+        result = self.run_script(corpus_dir, missing)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert str(missing) in result.stderr and "Traceback" not in result.stderr
 
 
 class TestConvert:

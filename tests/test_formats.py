@@ -250,6 +250,17 @@ class TestNonCanonicalIds:
         assert p == parse_xml(doc.replace(b'toID="1.02"', b'toID="1.2"'))
         assert [str(e.child) for e in p.edges] == ["1.2", "0.1"]
 
+    # int() reads each of these, so they once resolved silently.
+    @pytest.mark.parametrize("written", [" 1.1 ", "+1.1", "\u0661.\u0661", "0_1.1"])
+    def test_loose_unit_id_rejected(self, written):
+        with pytest.raises(UccaError):
+            parse_xml(MINIMAL.replace(b'ID="1.1"', f'ID="{written}"'.encode()))
+
+    @pytest.mark.parametrize("written", [" 0.1 ", "+0.1", "\u0660.\u0661", "0_0.1"])
+    def test_loose_to_id_rejected(self, written):
+        with pytest.raises(UccaError):
+            parse_xml(MINIMAL.replace(b'toID="0.1"', f'toID="{written}"'.encode()))
+
 
 #: Text for tokens and passage ids: every character attribute escaping
 #: touches, non-ASCII text, DEL and a lone surrogate.

@@ -36,6 +36,12 @@ class TestNodeId:
         with pytest.raises(GraphError):
             NodeId.parse("1.x")
 
+    # int() reads each of these, so they once parsed as 1.2 or 10.1.
+    @pytest.mark.parametrize("text", [" 1.2 ", "+1.2", "\u0661.\u0662", "1_0.1", "1.2\n"])
+    def test_parse_accepts_ascii_digits_only(self, text):
+        with pytest.raises(GraphError):
+            NodeId.parse(text)
+
     def test_fields_and_text(self):
         nid = NodeId(1, 12)
         assert (nid.layer, nid.index) == (1, 12)

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uccakit.samples import implicit_sample, remote_sample
 from uccakit.stats import StatsReport, corpus_stats, render_table
 
 from .helpers import random_passage
@@ -84,3 +85,77 @@ class TestRendering:
         assert d["tokens"] == 7
         assert d["pct_remote"] == 9.09
         assert d["by_category"]["A"] == 27.27
+
+    def test_json_keys_follow_table_rows(self, remote_passage):
+        payload = corpus_stats([remote_passage]).to_dict()
+        del payload["by_category"]
+        lines = render_table(corpus_stats([remote_passage])).splitlines()[: len(payload)]
+        labels = [line.rsplit(maxsplit=1)[0] for line in lines]
+        keys = [l.replace("# ", "").replace("% ", "pct_").replace("-", "_") for l in labels]
+        assert keys == list(payload)
+        cells = [f"{v:.2f}" if isinstance(v, float) else str(v) for v in payload.values()]
+        assert [line.split()[-1] for line in lines] == cells
+
+
+class TestTableSnapshots:
+    def test_one_corpus(self):
+        assert render_table(corpus_stats([remote_sample()])) == (
+            "# passages                   1\n"
+            "# tokens                     7\n"
+            "# non-terminals              4\n"
+            "% discontinuous           0.00\n"
+            "% reentrant              10.00\n"
+            "# edges                     11\n"
+            "% primary                90.91\n"
+            "% remote                  9.09\n"
+            "by category\n"
+            "  % Process              18.18\n"
+            "  % Participant          27.27\n"
+            "  % Center                9.09\n"
+            "  % Relator               9.09\n"
+            "  % Parallel Scene       18.18\n"
+            "  % Linker                9.09\n"
+            "  % Punctuation           9.09"
+        )
+
+    def test_corpora_as_columns(self):
+        # Only the remote sample has H and L edges; only the implicit one D, E, N and F.
+        reports = {
+            "remote": corpus_stats([remote_sample()]),
+            "implicit": corpus_stats([implicit_sample()]),
+        }
+        assert render_table(reports) == (
+            "                        remote    implicit\n"
+            "# passages                   1           1\n"
+            "# tokens                     7          20\n"
+            "# non-terminals              4           5\n"
+            "% discontinuous           0.00        0.00\n"
+            "% reentrant              10.00        0.00\n"
+            "# edges                     11          25\n"
+            "% primary                90.91      100.00\n"
+            "% remote                  9.09        0.00\n"
+            "by category\n"
+            "  % Process              18.18        4.00\n"
+            "  % Participant          27.27       12.00\n"
+            "  % Adverbial             0.00        4.00\n"
+            "  % Center                9.09       24.00\n"
+            "  % Elaborator            0.00       20.00\n"
+            "  % Connector             0.00        4.00\n"
+            "  % Relator               9.09       12.00\n"
+            "  % Parallel Scene       18.18        0.00\n"
+            "  % Linker                9.09        0.00\n"
+            "  % Function              0.00        8.00\n"
+            "  % Punctuation           9.09       12.00"
+        )
+
+    def test_empty_corpus_has_no_category_block(self):
+        assert render_table(corpus_stats([])) == (
+            "# passages                0\n"
+            "# tokens                  0\n"
+            "# non-terminals           0\n"
+            "% discontinuous        0.00\n"
+            "% reentrant            0.00\n"
+            "# edges                   0\n"
+            "% primary              0.00\n"
+            "% remote               0.00"
+        )
