@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: evaluate, validate, normalize, stats, convert.  Inputs are
-passage XML files or directories of them.  Exit codes: 0 success, 1 usage error or
-output closed early (`| head`), 2 parse error (offending file named on stderr),
-3 token mismatch between system and gold, 4 validation violations under --strict.
+passage XML files or directories of them.  Exit codes: 0 success, 1 usage error,
+output closed early (`| head`) or output path cannot be written (path named on
+stderr), 2 parse error (offending file named on stderr), 3 token mismatch
+between system and gold, 4 validation violations under --strict.
 """
 from __future__ import annotations
 
@@ -118,11 +119,17 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    report = stats.corpus_stats(_load(p) for p in _xml_files(Path(args.input)))
+    reports = {
+        name: stats.corpus_stats(_load(p) for p in _xml_files(Path(name)))
+        for name in args.input
+    }
+    # One input keeps the single-corpus layout: one unnamed column, one flat object.
+    single = reports[args.input[0]] if len(args.input) == 1 else None
     if _json_output(args):
-        print(json.dumps(report.to_dict(), indent=2))
+        payload = single.to_dict() if single else {k: r.to_dict() for k, r in reports.items()}
+        print(json.dumps(payload, indent=2))
     else:
-        print(stats.render_table(report))
+        print(stats.render_table(single or reports))
     return EXIT_OK
 
 
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("stats", help="corpus structural statistics")
-    p.add_argument("input", help="XML file or directory")
+    p.add_argument("input", nargs="+", help="XML files or directories, one column each")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stats)
 
@@ -194,6 +201,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # see "Note on SIGPIPE" in the signal module docs
         # Point stdout at devnull so the interpreter's final flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:  # input read errors are _ParseFailure; this is output
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _ParseFailure as exc:
         print(f"{exc.path}: {exc.cause}", file=sys.stderr)

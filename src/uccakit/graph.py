@@ -4,9 +4,9 @@ A passage is a token sequence plus a layered graph over it: terminals in
 layer 0, semantic units in layer 1.  Primary edges form a tree; remote
 edges add reentrancy, so the full edge set is a DAG.  Passages are mutable
 while being built and immutable once sealed by :meth:`Passage.freeze`;
-all analytic queries require a sealed passage.  A sealed passage computes
-the yields of all its nodes at once, in one pass, the first time any yield
-is asked for.
+all analytic queries require a sealed passage.  Sealing walks the whole
+edge set once and records a bottom-up node order; the first yield asked
+for fills the yields of all nodes at once, in that order.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .categories import Category, as_category
 from .errors import (
@@ -123,7 +123,9 @@ class Passage:
         self._out: dict[NodeId, list[Edge]] = {}
         self._in: dict[NodeId, list[Edge]] = {}
         self._max_unit_index = 0
-        # Filled all at once by _fill_yields; relabeled copies share it.
+        # Set by freeze and filled all at once by _fill_yields; relabeled
+        # copies share both.
+        self._order: list[NodeId] = []
         self._yields: dict[NodeId, tuple[int, ...]] = {}
         self._terminals = [
             Node(NodeId(TERMINAL_LAYER, position), NodeKind.TERMINAL, text=text, position=position)
@@ -198,7 +200,8 @@ class Passage:
             raise CycleDetected(f"edge {parent} -> {child} would close a cycle")
 
     def freeze(self) -> "Passage":
-        """Verify all passage invariants and seal the passage.
+        """Verify all passage invariants, record the bottom-up node order
+        and seal the passage.
 
         Raises StructuralViolation carrying the first failed invariant.
         """
@@ -213,7 +216,19 @@ class Passage:
             if len(primaries) != 1:
                 rule = "terminal-coverage" if node.is_terminal else "reachability"
                 raise StructuralViolation(rule, node.id)
-        self._check_acyclic()
+        # Kahn's walk over all edges: a node joins once all its parents,
+        # primary and remote, have.  A node left out lies on or below a cycle.
+        pending = {nid: len(parents) for nid, parents in self._in.items()}
+        order = [self.root]
+        for nid in order:
+            for edge in self._out[nid]:
+                pending[edge.child] -= 1
+                if not pending[edge.child]:
+                    order.append(edge.child)
+        if len(order) != len(self._nodes):
+            stuck = next(nid for nid in self._nodes if nid.layer == UNIT_LAYER and pending[nid])
+            raise StructuralViolation("acyclicity", stuck)
+        self._order = order[::-1]
         self._sealed = True
         return self
 
@@ -285,20 +300,18 @@ class Passage:
         return self._yields[node_id]
 
     def bottom_up(self) -> list[NodeId]:
-        """Every node id, each one after all of its primary children."""
+        """Every node id, each one after all of its children: a copy of the
+        order that freeze recorded."""
         self.require_sealed()
-        order = [self.root]
-        for nid in order:  # a pre-order walk of the primary tree
-            order.extend(e.child for e in self._out[nid] if not e.remote)
-        order.reverse()
-        return order
+        return list(self._order)
 
     def relabeled(self, codes: Mapping[str, str]) -> "Passage":
         """A sealed copy whose edge categories are mapped through `codes`.
 
         Relabeling cannot change the primary tree, so the copy shares this
-        passage's node table and yields; only the edge lists are new.  A
-        remote edge that the mapping turns into a duplicate is dropped.
+        passage's node table, bottom-up order and yields; only the edge
+        lists are new.  A remote edge that the mapping turns into a
+        duplicate is dropped.
         """
         self.require_sealed()
         fresh = copy.copy(self)
@@ -397,33 +410,12 @@ class Passage:
             stack.extend(e.child for e in self._out[nid])
         return False
 
-    def _check_acyclic(self) -> None:
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {nid: WHITE for nid in self._nodes}
-        for origin in self._nodes:
-            if color[origin] != WHITE:
-                continue
-            stack: list[tuple[NodeId, Iterator[Edge]]] = [(origin, iter(self._out[origin]))]
-            color[origin] = GREY
-            while stack:
-                nid, it = stack[-1]
-                edge = next(it, None)
-                if edge is None:
-                    color[nid] = BLACK
-                    stack.pop()
-                elif color[edge.child] == GREY:
-                    raise StructuralViolation("acyclicity", edge.child)
-                elif color[edge.child] == WHITE:
-                    color[edge.child] = GREY
-                    stack.append((edge.child, iter(self._out[edge.child])))
-        return None
-
     def _fill_yields(self) -> None:
         """Every yield in one bottom-up pass.  Sibling yields in the primary
         tree are disjoint, so a unit's yield is its children's joined and
         sorted."""
         yields = self._yields
-        for nid in self.bottom_up():
+        for nid in self._order:
             node = self._nodes[nid]
             if node.is_terminal:
                 yields[nid] = (node.position,)

@@ -99,6 +99,14 @@ def plain_yield(passage: Passage, node_id) -> frozenset[int]:
     return out
 
 
+def reaches(passage: Passage, start, target) -> bool:
+    """True iff edges, primary or remote, lead from start to target (or
+    they are the same node); plain recursion over every path."""
+    if start == target:
+        return True
+    return any(reaches(passage, e.child, target) for e in passage.outgoing(start))
+
+
 def _edge_pool(passage, remote, labeled, category=None, include_punct=True):
     pool = []
     for edge in passage.edges:

@@ -218,32 +218,49 @@ class TestStats:
         assert payload["tokens"] == 27
         assert f"{payload['pct_remote']:.2f}" in table
 
-
-class TestCorpusReport:
-    SCRIPT = Path(__file__).parents[1] / "scripts" / "corpus_report.py"
-
-    def run_script(self, *dirs):
-        return subprocess.run(
-            [sys.executable, str(self.SCRIPT), *map(str, dirs)],
-            capture_output=True, text=True, timeout=60,
-        )
-
-    def test_one_column_per_directory(self, corpus_dir, degraded_dir):
-        result = self.run_script(corpus_dir, degraded_dir)
-        reports = {
-            d.name: stats.corpus_stats(normalize(parse_xml(f.read_bytes()))
-                                       for f in sorted(d.glob("*.xml")))
-            for d in (corpus_dir, degraded_dir)
+    @staticmethod
+    def as_read(*dirs):
+        return {
+            str(d): stats.corpus_stats(parse_xml(f.read_bytes()) for f in sorted(d.glob("*.xml")))
+            for d in dirs
         }
-        assert result.returncode == 0
-        assert result.stdout == stats.render_table(reports) + "\n"
 
-    def test_missing_directory(self, corpus_dir, tmp_path):
+    def test_one_column_per_directory(self, capsys, corpus_dir, degraded_dir):
+        code, out, _ = run(capsys, "stats", str(corpus_dir), str(degraded_dir))
+        assert code == 0
+        assert out == stats.render_table(self.as_read(corpus_dir, degraded_dir)) + "\n"
+
+    def test_json_keyed_by_path(self, capsys, corpus_dir, degraded_dir):
+        code, out, _ = run(capsys, "stats", str(corpus_dir), str(degraded_dir), "--json")
+        assert code == 0
+        reports = self.as_read(corpus_dir, degraded_dir)
+        assert json.loads(out) == {k: r.to_dict() for k, r in reports.items()}
+
+    def test_same_last_component_gives_two_columns(self, capsys, tmp_path):
+        dirs = [tmp_path / "a" / "c", tmp_path / "b" / "c"]
+        for d, sample in zip(dirs, (remote_sample, implicit_sample)):
+            d.mkdir(parents=True)
+            (d / "p.xml").write_bytes(serialize_xml(sample()))
+        code, out, _ = run(capsys, "stats", *map(str, dirs))
+        assert code == 0
+        assert out.splitlines()[0].split() == [str(d) for d in dirs]
+        assert out == stats.render_table(self.as_read(*dirs)) + "\n"
+
+    def test_missing_directory(self, capsys, corpus_dir, tmp_path):
         missing = tmp_path / "missing"
-        result = self.run_script(corpus_dir, missing)
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert str(missing) in result.stderr and "Traceback" not in result.stderr
+        code, out, err = run(capsys, "stats", str(corpus_dir), str(missing))
+        assert code == 2
+        assert out == ""
+        assert str(missing) in err and "Traceback" not in err
+
+    def test_malformed_file_names_file(self, capsys, corpus_dir, tmp_path):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        (broken / "bad.xml").write_text("<root")
+        code, out, err = run(capsys, "stats", str(corpus_dir), str(broken))
+        assert code == 2
+        assert out == ""
+        assert str(broken / "bad.xml") in err and "Traceback" not in err
 
 
 class TestConvert:
@@ -295,6 +312,18 @@ class TestConvert:
             tsv[name] = (out_dir / "p.tsv").read_bytes()
         assert b"\tE\n" in tsv["legacy"]
         assert tsv["legacy"] == tsv["normalized"]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "command", [["normalize"], ["convert", "--to", "text"]], ids=["normalize", "convert"]
+    )
+    def test_names_path(self, capsys, corpus_dir, tmp_path, command):
+        afile = tmp_path / "afile"  # a file where the output directory should go
+        afile.write_text("")
+        code, _, err = run(capsys, *command, str(corpus_dir), "--out", str(afile))
+        assert code == cli.EXIT_USAGE
+        assert str(afile) in err and "Traceback" not in err
 
 
 class TestClosedOutput:

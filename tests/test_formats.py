@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from uccakit.errors import (
     DanglingReference,
     UccaError,
-    GraphError,
     StructuralViolation,
     UnknownCategory,
     XmlFormatError,
@@ -28,8 +27,10 @@ from uccakit.validation import normalize
 
 from .helpers import (
     CYCLIC_DOCUMENTS,
+    CODES,
     deep_center_chain,
     random_passage,
+    reaches,
     reference_serialize_xml,
 )
 
@@ -106,8 +107,40 @@ class TestParseXml:
 
     @pytest.mark.parametrize("closing_edge", sorted(CYCLIC_DOCUMENTS))
     def test_cycle_rejected(self, closing_edge):
-        with pytest.raises(GraphError):
+        # freeze names the first unit, in node-table order, that its walk left out.
+        with pytest.raises(StructuralViolation, match=r"^acyclicity: node 1\.2$"):
             parse_xml(CYCLIC_DOCUMENTS[closing_edge])
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1))
+    def test_added_remote_edge_is_a_cycle_iff_child_reaches_parent(self, seed):
+        # Loading runs no cycle search, so freeze alone must catch the cycle.
+        rng = random.Random(seed)
+        p = random_passage(rng)
+        units = [n for n in p.nodes if not n.is_terminal]
+        parent = rng.choice([n.id for n in units if n.kind is NodeKind.NON_TERMINAL])
+        child = rng.choice([n.id for n in units if n.id != p.root] or [None])
+        code = rng.choice(CODES)
+        if child is None or any(
+            e.remote and e.child == child and e.category.code == code
+            for e in p.outgoing(parent)
+        ):
+            return  # no unit to point at, or an exact duplicate
+        document = ET.fromstring(serialize_xml(p))
+        layer1 = next(l for l in document.findall("layer") if l.get("layerID") == "1")
+        node = next(n for n in layer1.findall("node") if n.get("ID") == str(parent))
+        edge = ET.SubElement(node, "edge", toID=str(child), type=code)
+        ET.SubElement(edge, "attributes", remote="True")
+        if reaches(p, child, parent):
+            with pytest.raises(StructuralViolation) as info:
+                parse_xml(ET.tostring(document))
+            assert info.value.rule == "acyclicity"
+            return
+        loaded = parse_xml(ET.tostring(document))
+        order = loaded.bottom_up()
+        assert sorted(order) == sorted(n.id for n in loaded.nodes)
+        rank = {nid: k for k, nid in enumerate(order)}
+        assert all(rank[e.child] < rank[e.parent] for e in loaded.edges if not e.remote)
 
     def test_loading_runs_no_cycle_search(self, monkeypatch):
         # A loaded document is checked for cycles once, at freeze.  Listing
