@@ -3,8 +3,9 @@
 Subcommands: evaluate, validate, normalize, stats, convert.  Inputs are
 passage XML files or directories of them.  Exit codes: 0 success, 1 usage error,
 output closed early (`| head`) or output path cannot be written (path named on
-stderr), 2 parse error (offending file named on stderr), 3 token mismatch
-between system and gold, 4 validation violations under --strict.
+stderr), 2 parse error, or an input that is missing or a directory holding no
+*.xml file (offending path named on stderr), 3 token mismatch between system
+and gold, 4 validation violations under --strict.
 """
 from __future__ import annotations
 
@@ -29,17 +30,21 @@ FORMAT_ENV_VAR = "UCCAKIT_FORMAT"
 
 
 class _ParseFailure(Exception):
-    def __init__(self, path: Path, cause: Exception):
+    def __init__(self, path: Path, cause: Exception | str):
         self.path = path
         self.cause = cause
 
 
 def _xml_files(path: Path) -> list[Path]:
-    if path.is_dir():
-        return sorted(path.glob("*.xml"))
+    """The file itself, or the directory's *.xml files in name order."""
     if path.is_file():
         return [path]
-    raise _ParseFailure(path, FileNotFoundError(path))
+    if not path.is_dir():
+        raise _ParseFailure(path, "does not exist")
+    files = sorted(path.glob("*.xml"))
+    if not files:
+        raise _ParseFailure(path, "holds no *.xml files")
+    return files
 
 
 def _load(path: Path) -> Passage:

@@ -27,12 +27,13 @@ Attribute values escape & < > " tab LF CR as &amp; &lt; &gt; &quot; &#09; &#10;
 &#13;, and a lone surrogate becomes a character reference: ElementTree's bytes,
 but from this module's own writer, so they do not depend on the Python version.
 
-Terminal order in layer 0 is document order and defines token positions.
-The root unit is the unique layer-1 node with no incoming edge.
+Each layerID appears once.  Terminal order in layer 0 is document order
+and defines token positions.  The root unit is the unique layer-1 node
+with no incoming edge, and it is not implicit.
 
 The bi-lexical export is lossy by design: remote edges and implicit nodes
-are dropped, and each unit is collapsed onto a lexical head chosen by a
-fixed category priority.
+are dropped, and each unit is collapsed onto one lexical head by the rule
+that export_bilexical states.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 from .categories import LEGACY_REPLACEMENT, Category
 from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax
-from .graph import Edge, Node, NodeId, NodeKind, Passage, is_punctuation
+from .graph import Edge, NodeId, NodeKind, Passage, is_punctuation
 
 # -- XML ------------------------------------------------------------------
 
@@ -56,7 +57,12 @@ def parse_xml(document: bytes | str) -> Passage:
         raise XmlFormatError("expected a <root passageID=...> document element")
     passage_id = root.attrib["passageID"]
 
-    layers = {layer.attrib.get("layerID"): layer for layer in root.findall("layer")}
+    layers = {}
+    for layer in root.findall("layer"):
+        layer_id = layer.attrib.get("layerID")
+        if layer_id in layers:
+            raise XmlFormatError(f"repeated layerID {layer_id!r}")
+        layers[layer_id] = layer
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
 
@@ -103,11 +109,14 @@ def parse_xml(document: bytes | str) -> Passage:
         edges.append(Edge(nid, child, Category.from_code(code), remote))
 
     referenced = {edge.child for edge in edges}
-    roots = [nid for nid, _ in units if nid not in referenced]
+    roots = [unit for unit in units if unit[0] not in referenced]
     if len(roots) != 1:
         raise XmlFormatError(f"expected exactly one root unit, found {len(roots)}")
-    others = [unit for unit in units if unit[0] != roots[0]]
-    return Passage.assemble(passage_id, tokens, roots[0], others, edges)
+    (root_id, root_kind), = roots
+    if root_kind is NodeKind.IMPLICIT:
+        raise XmlFormatError(f"root unit {root_id} is marked implicit")
+    others = [unit for unit in units if unit[0] != root_id]
+    return Passage.assemble(passage_id, tokens, root_id, others, edges)
 
 
 #: Attribute value escapes, the same as ElementTree's.
@@ -154,9 +163,13 @@ def export_text(passage: Passage) -> str:
 
 # -- bi-lexical dependencies ----------------------------------------------
 
-#: Category priority for picking a unit's lexical head (first match wins);
-#: ties go to the child whose yield starts leftmost.
+#: Category priority for picking a unit's lexical head, highest first
+#: (the rule is in export_bilexical).
 HEAD_PRIORITY = ["C", "P", "S", "H", "A", "D", "E", "N", "R", "L", "G", "F", "U"]
+
+#: Edge code -> rank in HEAD_PRIORITY; legacy T/Q rank as their replacements.
+_HEAD_RANK = {code: rank for rank, code in enumerate(HEAD_PRIORITY)}
+_HEAD_RANK.update((old, _HEAD_RANK[new]) for old, new in LEGACY_REPLACEMENT.items())
 
 #: Relation used for the token heading the whole passage.
 ROOT_DEPREL = "root"
@@ -173,55 +186,35 @@ class BilexicalRow:
 def export_bilexical(passage: Passage) -> list[BilexicalRow]:
     """Collapse the graph to one head and relation per token.
 
-    Each unit's lexical head is the head of its highest-priority primary
-    child; a token depends on the head of the unit governing the maximal
-    unit it heads, labeled with the category of the edge into that maximal
-    unit.  Remote edges and implicit nodes are dropped.  Legacy T/Q labels
-    are read as their replacements, so a passage exports as its normalized
+    One bottom-up walk over primary edges gives each node a lexical head
+    and a leftmost position: a terminal heads itself; a unit takes the head
+    of its headed child with the lowest (HEAD_PRIORITY rank of the edge,
+    leftmost position), and units with an empty yield have no head.  Each
+    other headed child's head depends on the unit's head, labeled with the
+    category of the edge into that child; the root's head gets ROOT_DEPREL.
+    Remote edges and implicit nodes are dropped.  Legacy T/Q labels are
+    read as their replacements, so a passage exports as its normalized
     form does.
     """
-    heads: dict[NodeId, Node | None] = {}
-    for nid in passage.bottom_up():  # children's heads first
+    found: dict[NodeId, tuple[int, int]] = {}  # leftmost position, head position
+    rows: dict[int, tuple[int, str]] = {}  # dependent position -> head position, relation
+    for nid in passage.bottom_up():  # children first
         node = passage.node(nid)
         if node.is_terminal:
-            heads[nid] = node
+            found[nid] = (node.position, node.position)
             continue
-        best = None
-        for edge in passage.outgoing(nid):
-            if edge.remote:
-                continue
-            span = passage.yield_of(edge.child)
-            if not span:
-                continue
-            rank = (HEAD_PRIORITY.index(_normalized_code(edge)), span[0])
-            if best is None or rank < best[0]:
-                best = (rank, edge.child)
-        heads[nid] = heads[best[1]] if best else None
-
-    primary_parent: dict[NodeId, tuple[NodeId, str]] = {
-        e.child: (e.parent, _normalized_code(e)) for e in passage.edges if not e.remote
-    }
-
-    rows = []
-    for terminal in passage.terminals:
-        unit: NodeId = terminal.id
-        while unit != passage.root:
-            parent, _ = primary_parent[unit]
-            if heads[parent] != terminal:
-                break
-            unit = parent
-        if unit == passage.root:
-            head, deprel = 0, ROOT_DEPREL
-        else:
-            parent, deprel = primary_parent[unit]
-            head = heads[parent].position
-        rows.append(BilexicalRow(terminal.position, terminal.text, head, deprel))
-    return rows
-
-
-def _normalized_code(edge: Edge) -> str:
-    code = edge.category.code
-    return LEGACY_REPLACEMENT.get(code, code)
+        # Sibling yields are disjoint, so no two headed children tie.
+        headed = [(_HEAD_RANK[e.category.code], found[e.child], e.category.code)
+                  for e in passage.outgoing(nid) if not e.remote and e.child in found]
+        if not headed:
+            continue
+        _, (_, head), _ = min(headed)
+        found[nid] = (min(leftmost for _, (leftmost, _), _ in headed), head)
+        for _, (_, dependent), code in headed:
+            if dependent != head:
+                rows[dependent] = (head, LEGACY_REPLACEMENT.get(code, code))
+    rows[found[passage.root][1]] = (0, ROOT_DEPREL)
+    return [BilexicalRow(t.position, t.text, *rows[t.position]) for t in passage.terminals]
 
 
 def render_bilexical(rows: list[BilexicalRow]) -> str:

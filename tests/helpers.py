@@ -11,8 +11,9 @@ import random
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
-from uccakit.categories import FOUNDATIONAL
-from uccakit.graph import GraphError, NodeKind, Passage, build_passage, is_punctuation
+from uccakit.categories import FOUNDATIONAL, LEGACY_REPLACEMENT
+from uccakit.formats import HEAD_PRIORITY, ROOT_DEPREL, BilexicalRow
+from uccakit.graph import GraphError, Node, NodeId, NodeKind, Passage, build_passage, is_punctuation
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "today", "quietly"]
 PUNCT = [",", ".", ";", "!"]
@@ -248,3 +249,52 @@ def reference_serialize_xml(passage: Passage) -> bytes:
                 ET.SubElement(elem, "attributes", remote="True")
     ET.indent(root)
     return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+
+
+# -- reference bi-lexical export ------------------------------------------
+
+
+def reference_export_bilexical(passage: Passage) -> list[BilexicalRow]:
+    """The export that formats.export_bilexical's single walk replaced,
+    kept as the oracle its rows must match: heads from ranked yields, then
+    a climb from each token through a primary-parent index."""
+    heads: dict[NodeId, Node | None] = {}
+    for nid in passage.bottom_up():  # children's heads first
+        node = passage.node(nid)
+        if node.is_terminal:
+            heads[nid] = node
+            continue
+        best = None
+        for edge in passage.outgoing(nid):
+            if edge.remote:
+                continue
+            span = passage.yield_of(edge.child)
+            if not span:
+                continue
+            code = edge.category.code
+            rank = (HEAD_PRIORITY.index(LEGACY_REPLACEMENT.get(code, code)), span[0])
+            if best is None or rank < best[0]:
+                best = (rank, edge.child)
+        heads[nid] = heads[best[1]] if best else None
+
+    primary_parent: dict[NodeId, tuple[NodeId, str]] = {
+        e.child: (e.parent, LEGACY_REPLACEMENT.get(e.category.code, e.category.code))
+        for e in passage.edges
+        if not e.remote
+    }
+
+    rows = []
+    for terminal in passage.terminals:
+        unit: NodeId = terminal.id
+        while unit != passage.root:
+            parent, _ = primary_parent[unit]
+            if heads[parent] != terminal:
+                break
+            unit = parent
+        if unit == passage.root:
+            head, deprel = 0, ROOT_DEPREL
+        else:
+            parent, deprel = primary_parent[unit]
+            head = heads[parent].position
+        rows.append(BilexicalRow(terminal.position, terminal.text, head, deprel))
+    return rows

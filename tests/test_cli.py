@@ -251,7 +251,7 @@ class TestStats:
         code, out, err = run(capsys, "stats", str(corpus_dir), str(missing))
         assert code == 2
         assert out == ""
-        assert str(missing) in err and "Traceback" not in err
+        assert err == f"{missing}: does not exist\n"
 
     def test_malformed_file_names_file(self, capsys, corpus_dir, tmp_path):
         broken = tmp_path / "broken"
@@ -261,6 +261,30 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert str(broken / "bad.xml") in err and "Traceback" not in err
+
+
+class TestDirectoryWithoutXml:
+    """Such a directory, often a mistyped path, is refused rather than read
+    as an empty corpus."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "{d}"],
+            ["validate", "{d}"],
+            ["evaluate", "--gold", "{d}", "--system", "{d}"],
+        ],
+    )
+    @pytest.mark.parametrize("contents", [[], ["p.XML"]])
+    def test_refused(self, capsys, tmp_path, argv, contents):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in contents:
+            (bare / name).write_bytes(serialize_xml(remote_sample()))
+        code, out, err = run(capsys, *(a.format(d=bare) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"{bare}: holds no *.xml files\n"
 
 
 class TestConvert:

@@ -23,6 +23,7 @@ from uccakit.formats import (
     serialize_xml,
 )
 from uccakit.graph import NodeKind, Passage, build_passage
+from uccakit.samples import implicit_sample, remote_sample
 from uccakit.validation import normalize
 
 from .helpers import (
@@ -31,6 +32,7 @@ from .helpers import (
     deep_center_chain,
     random_passage,
     reaches,
+    reference_export_bilexical,
     reference_serialize_xml,
 )
 
@@ -99,6 +101,27 @@ class TestParseXml:
     def test_schema_mutations_rejected(self, mutation):
         with pytest.raises(XmlFormatError):
             parse_xml(mutation(MINIMAL))
+
+    def test_implicit_root_rejected(self):
+        # The root was read as a plain unit, and serialize_xml dropped the flag.
+        doc = MINIMAL.replace(
+            b'<node ID="1.1" type="FN">',
+            b'<node ID="1.1" type="FN"><attributes implicit="True"/>',
+        )
+        with pytest.raises(XmlFormatError, match=r"^root unit 1\.1 is marked implicit$"):
+            parse_xml(doc)
+
+    def test_repeated_layer_rejected(self):
+        # The second layer 0 replaced the first, whose tokens were lost.
+        doc = MINIMAL.replace(
+            b'  <layer layerID="1">',
+            b'  <layer layerID="0">\n'
+            b'    <node ID="0.1" type="Word"><attributes text="lost"/></node>\n'
+            b'  </layer>\n'
+            b'  <layer layerID="1">',
+        )
+        with pytest.raises(XmlFormatError, match=r"^repeated layerID '0'$"):
+            parse_xml(doc)
 
     def test_legacy_labels_accepted(self):
         doc = MINIMAL.replace(b'type="H"', b'type="T"')
@@ -263,6 +286,20 @@ class TestExportBilexical:
             BilexicalRow(1, "is", 2, "F"),
             BilexicalRow(2, "it", 0, "root"),
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_reference_export(self, seed, legacy_labels):
+        # Larger than the default sizes, so that units with empty yields
+        # and deeper nests appear.
+        p = random_passage(random.Random(seed), max_tokens=12, max_units=9, max_remotes=3,
+                           legacy_labels=legacy_labels)
+        assert export_bilexical(p) == reference_export_bilexical(p)
+
+    @pytest.mark.parametrize("make", [remote_sample, implicit_sample, deep_center_chain])
+    def test_matches_reference_export_on_fixed_passages(self, make):
+        p = make()
+        assert export_bilexical(p) == reference_export_bilexical(p)
 
     def test_rendering(self, remote_passage):
         text = render_bilexical(export_bilexical(remote_passage))
