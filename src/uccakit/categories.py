@@ -1,8 +1,8 @@
 """Edge category inventory of the foundational layer."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import UnknownCategory
 
@@ -43,12 +43,10 @@ def report_order(codes: Iterable[str]) -> list[str]:
     return [c for c in REPORT_ORDER if c in codes] + sorted(codes.difference(REPORT_ORDER))
 
 
-@dataclass(frozen=True)
-class Category:
+class Category(namedtuple("Category", "code longname")):
     """An edge label: single-letter code plus its human-readable name."""
 
-    code: str
-    longname: str
+    __slots__ = ()
 
     @classmethod
     def from_code(cls, code: str) -> "Category":
@@ -68,9 +66,5 @@ _REGISTRY = {code: Category(code, longname) for code, longname in ALL_CODES.item
 
 
 def as_category(value: "Category | str") -> Category:
-    """Coerce a code string or Category instance to a Category."""
-    if isinstance(value, Category):
-        if value.code not in _REGISTRY:
-            raise UnknownCategory(f"unknown category code: {value.code!r}")
-        return _REGISTRY[value.code]
-    return Category.from_code(value)
+    """Coerce a code string or Category instance to the registered Category."""
+    return Category.from_code(value.code if isinstance(value, Category) else value)

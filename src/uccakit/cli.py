@@ -3,9 +3,11 @@
 Subcommands: evaluate, validate, normalize, stats, convert.  Inputs are
 passage XML files or directories of them.  Exit codes: 0 success, 1 usage error,
 output closed early (`| head`) or output path cannot be written (path named on
-stderr), 2 parse error, or an input that is missing or a directory holding no
-*.xml file (offending path named on stderr), 3 token mismatch between system
-and gold, 4 validation violations under --strict.
+stderr), 2 parse error, or an input that is missing, a directory holding no
+*.xml file, or neither a regular file nor a directory (a FIFO or a device, never
+opened; a directory's *.xml entries must be regular files), offending path named
+on stderr, 3 token mismatch between system and gold, 4 validation violations
+under --strict.
 """
 from __future__ import annotations
 
@@ -39,8 +41,9 @@ def _xml_files(path: Path) -> list[Path]:
     """The file itself, or the directory's *.xml files in name order."""
     if path.is_file():
         return [path]
-    if not path.is_dir():
-        raise _ParseFailure(path, "does not exist")
+    if not path.is_dir():  # a FIFO or a device is never opened
+        raise _ParseFailure(path, "is not a regular file or directory" if path.exists()
+                            else "does not exist")
     files = sorted(path.glob("*.xml"))
     if not files:
         raise _ParseFailure(path, "holds no *.xml files")
@@ -48,6 +51,8 @@ def _xml_files(path: Path) -> list[Path]:
 
 
 def _load(path: Path) -> Passage:
+    if not path.is_file():  # a directory's *.xml entry may be a FIFO, a device or a directory
+        raise _ParseFailure(path, "is not a regular file")
     try:
         return formats.parse_xml(path.read_bytes())
     except (UccaError, OSError) as exc:

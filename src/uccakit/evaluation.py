@@ -10,25 +10,20 @@ computing precision, recall and F1.  Edges whose child yield is empty
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
 
 from .categories import ALL_CODES, PUNCT_CODE, report_order
 from .errors import TokenMismatch
 from .graph import Passage
+from .records import Record
 
 STRATA = ("all", "primary", "remote")
 
 
-@dataclass(frozen=True)
-class EdgeSignature:
-    """What an edge contributes to matching: child yield, label, class."""
-
-    span: tuple[int, ...]
-    category: Optional[str]  # None in unlabeled mode
-    remote: bool
+#: An edge's matching key: child yield, label (None in unlabeled mode), class.
+EdgeSignature = namedtuple("EdgeSignature", "span category remote")
 
 
 def _pooled(passage: Passage, include_punct: bool) -> Iterator[tuple[tuple[int, ...], str, bool]]:
@@ -56,11 +51,10 @@ def match_count(out_sigs: Iterable[EdgeSignature], gold_sigs: Iterable[EdgeSigna
     return sum(common.values())
 
 
-@dataclass
-class Counts:
-    matched: int = 0
-    predicted: int = 0
-    gold: int = 0
+class Counts(namedtuple("Counts", "matched predicted gold", defaults=(0, 0, 0))):
+    """One count triple; ``+`` adds field by field."""
+
+    __slots__ = ()
 
     @property
     def precision(self) -> float:
@@ -83,41 +77,31 @@ class Counts:
         return self.matched / denominator
 
     def __add__(self, other: "Counts") -> "Counts":
-        return Counts(
-            self.matched + other.matched,
-            self.predicted + other.predicted,
-            self.gold + other.gold,
-        )
+        return Counts(self.matched + other.matched, self.predicted + other.predicted,
+                      self.gold + other.gold)
 
     def to_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return {**self._asdict(), "precision": self.precision, "recall": self.recall, "f1": self.f1}
 
 
-@dataclass
-class EvalScores:
+class EvalScores(Record):
     """Count triples per stratum: labeledness x edge class, plus per-category."""
 
-    labeled: dict[str, Counts] = field(default_factory=lambda: {s: Counts() for s in STRATA})
-    unlabeled: dict[str, Counts] = field(default_factory=lambda: {s: Counts() for s in STRATA})
-    by_category: dict[str, Counts] = field(default_factory=dict)
+    __slots__ = ("labeled", "unlabeled", "by_category")
+
+    def __init__(self, labeled: dict | None = None, unlabeled: dict | None = None,
+                 by_category: dict | None = None):
+        self.labeled = {s: Counts() for s in STRATA} if labeled is None else labeled
+        self.unlabeled = {s: Counts() for s in STRATA} if unlabeled is None else unlabeled
+        self.by_category = {} if by_category is None else by_category
 
     def merge(self, other: "EvalScores") -> "EvalScores":
-        merged = EvalScores()
-        for stratum in STRATA:
-            merged.labeled[stratum] = self.labeled[stratum] + other.labeled[stratum]
-            merged.unlabeled[stratum] = self.unlabeled[stratum] + other.unlabeled[stratum]
-        for code in set(self.by_category) | set(other.by_category):
-            merged.by_category[code] = self.by_category.get(code, Counts()) + other.by_category.get(
-                code, Counts()
-            )
-        return merged
+        def add(mine: dict[str, Counts], theirs: dict[str, Counts]) -> dict[str, Counts]:
+            return {key: mine.get(key, Counts()) + theirs.get(key, Counts())
+                    for key in {**mine, **theirs}}
+
+        return EvalScores(add(self.labeled, other.labeled), add(self.unlabeled, other.unlabeled),
+                          add(self.by_category, other.by_category))
 
     def to_dict(self) -> dict:
         return {

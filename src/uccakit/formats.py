@@ -31,14 +31,17 @@ Each layerID appears once.  Terminal order in layer 0 is document order
 and defines token positions.  The root unit is the unique layer-1 node
 with no incoming edge, and it is not implicit.
 
+parse_xml reads with pyexpat, keeping only the elements above: it accepts
+what ElementTree did, and refuses the rest with ElementTree's messages.
+
 The bi-lexical export is lossy by design: remote edges and implicit nodes
 are dropped, and each unit is collapsed onto one lexical head by the rule
 that export_bilexical states.
 """
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from collections import namedtuple
+from xml.parsers.expat import ExpatError, ParserCreate
 
 from .categories import LEGACY_REPLACEMENT, Category
 from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax
@@ -49,54 +52,47 @@ from .graph import Edge, NodeId, NodeKind, Passage, is_punctuation
 
 def parse_xml(document: bytes | str) -> Passage:
     """Read one passage document and return it sealed."""
-    try:
-        root = ET.fromstring(document)
-    except (ET.ParseError, LookupError, ValueError) as exc:  # the latter two: bad encoding
-        raise XmlSyntax(f"malformed XML: {exc}") from None
-    if root.tag != "root" or "passageID" not in root.attrib:
+    root_tag, root = _read_elements(document)
+    if root_tag != "root" or "passageID" not in root[0]:
         raise XmlFormatError("expected a <root passageID=...> document element")
-    passage_id = root.attrib["passageID"]
+    passage_id = root[0]["passageID"]
 
     layers = {}
-    for layer in root.findall("layer"):
-        layer_id = layer.attrib.get("layerID")
+    for layer in root[2]:
+        layer_id = layer[0].get("layerID")
         if layer_id in layers:
             raise XmlFormatError(f"repeated layerID {layer_id!r}")
-        layers[layer_id] = layer
+        layers[layer_id] = layer[2]
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
 
     tokens = []
-    for position, node in enumerate(layers["0"].findall("node"), start=1):
-        nid = node.attrib.get("ID", "")
+    for position, (attrs, attributes, _, _) in enumerate(layers["0"], start=1):
+        nid = attrs.get("ID", "")
         if nid != f"0.{position}":
             raise XmlFormatError(f"terminal {position} has ID {nid!r}, expected 0.{position}")
-        attributes = node.find("attributes")
-        if attributes is None or "text" not in attributes.attrib:
+        if attributes is None or "text" not in attributes:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
-        tokens.append(attributes.attrib["text"])
+        tokens.append(attributes["text"])
 
     units: list[tuple[NodeId, NodeKind]] = []
     written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
     ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by text
-    for node in layers["1"].findall("node"):
+    for attrs, attributes, edges, _ in layers["1"]:
         try:
-            nid = NodeId.parse(node.attrib.get("ID", ""))
+            nid = NodeId.parse(attrs.get("ID", ""))
         except GraphError:
-            raise XmlFormatError(f"bad unit ID: {node.attrib.get('ID')!r}") from None
+            raise XmlFormatError(f"bad unit ID: {attrs.get('ID')!r}") from None
         if str(nid) in ids:
             raise XmlFormatError(f"duplicate unit ID: {nid}")
         ids[str(nid)] = nid
-        attributes = node.find("attributes")
-        implicit = attributes is not None and attributes.attrib.get("implicit") == "True"
+        implicit = attributes is not None and attributes.get("implicit") == "True"
         units.append((nid, NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL))
-        for edge in node.findall("edge"):
-            to_id = edge.attrib.get("toID")
-            code = edge.attrib.get("type")
+        for attrs, attributes, _, _ in edges:
+            to_id, code = attrs.get("toID"), attrs.get("type")
             if to_id is None or code is None:
                 raise XmlFormatError(f"edge under {nid} lacks toID or type")
-            edge_attrs = edge.find("attributes")
-            remote = edge_attrs is not None and edge_attrs.attrib.get("remote") == "True"
+            remote = attributes is not None and attributes.get("remote") == "True"
             written.append((nid, to_id, code, remote))
 
     ids.update((f"0.{k}", NodeId(0, k)) for k in range(1, len(tokens) + 1))
@@ -117,6 +113,53 @@ def parse_xml(document: bytes | str) -> Passage:
         raise XmlFormatError(f"root unit {root_id} is marked implicit")
     others = [unit for unit in units if unit[0] != root_id]
     return Passage.assemble(passage_id, tokens, root_id, others, edges)
+
+
+def _read_elements(document: bytes | str) -> tuple[str, list]:
+    """The document element's tag and record.  A record is [attributes,
+    the first <attributes> child's attributes or None, records of the
+    children with the collected tag, that tag]: only a <layer> under the
+    document element, a <node> under it and an <edge> under that get one."""
+    parser = ParserCreate(namespace_separator="}")  # as ElementTree's
+    found, open_records = [], []  # a skipped element's record is None
+    child_tag = {"layer": "node", "node": "edge"}.get  # collected under a tag
+
+    def start(tag, attrs):
+        parent, record = open_records[-1], None
+        if parent is not None:
+            if tag == parent[3]:
+                record = [attrs, None, [], child_tag(tag)]
+                parent[2].append(record)
+            elif tag == "attributes" and parent[1] is None:
+                parent[1] = attrs
+        open_records.append(record)
+
+    def start_document(tag, attrs):
+        found[:] = tag, [attrs, None, [], "layer"]
+        open_records.append(found[1])
+        parser.StartElementHandler = start
+
+    def start_doctype(*_):
+        # Past a DOCTYPE, expat hands an entity reference that it cannot
+        # expand (undeclared under an external DTD part, or external) to
+        # the default handler, where ElementTree refuses it.
+        parser.CharacterDataHandler = lambda data: None  # keeps &amp; and &#38; away
+        parser.DefaultHandlerExpand = refuse_entity
+
+    def refuse_entity(data):
+        if data.startswith("&"):
+            text = data.encode()[:100].decode(errors="replace")  # ElementTree's cut
+            raise XmlSyntax(f"malformed XML: undefined entity {text}: line "
+                            f"{parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}")
+
+    parser.StartElementHandler = start_document
+    parser.EndElementHandler = lambda tag: open_records.pop()
+    parser.StartDoctypeDeclHandler = start_doctype
+    try:
+        parser.Parse(document, True)
+    except (ExpatError, LookupError, ValueError) as exc:  # the latter two: bad encoding
+        raise XmlSyntax(f"malformed XML: {exc}") from None
+    return found[0], found[1]
 
 
 #: Attribute value escapes, the same as ElementTree's.
@@ -175,12 +218,8 @@ _HEAD_RANK.update((old, _HEAD_RANK[new]) for old, new in LEGACY_REPLACEMENT.item
 ROOT_DEPREL = "root"
 
 
-@dataclass(frozen=True)
-class BilexicalRow:
-    position: int
-    form: str
-    head: int  # 0 = passage root
-    deprel: str
+#: One token's dependency: head 0 is the passage root.
+BilexicalRow = namedtuple("BilexicalRow", "position form head deprel")
 
 
 def export_bilexical(passage: Passage) -> list[BilexicalRow]:

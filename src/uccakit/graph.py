@@ -10,11 +10,10 @@ for fills the yields of all nodes at once, in that order.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
 
 from .categories import Category, as_category
 from .errors import (
@@ -78,24 +77,17 @@ class NodeId(tuple):
         return cls(int(layer), int(index))
 
 
-@dataclass(frozen=True)
-class Node:
-    id: NodeId
-    kind: NodeKind
-    text: Optional[str] = None
-    position: Optional[int] = None
+class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
+    """A terminal (with its text and 1-based position) or a unit (without)."""
+
+    __slots__ = ()
 
     @property
     def is_terminal(self) -> bool:
         return self.kind is NodeKind.TERMINAL
 
 
-@dataclass(frozen=True)
-class Edge:
-    parent: NodeId
-    child: NodeId
-    category: Category
-    remote: bool = False
+Edge = namedtuple("Edge", "parent child category remote", defaults=(False,))
 
 
 class Passage:
@@ -314,7 +306,8 @@ class Passage:
         duplicate is dropped.
         """
         self.require_sealed()
-        fresh = copy.copy(self)
+        fresh = object.__new__(type(self))
+        fresh.__dict__.update(self.__dict__)  # copy.copy, without importing copy
         fresh._edges = []
         fresh._out = {nid: [] for nid in self._nodes}
         fresh._in = {nid: [] for nid in self._nodes}
@@ -346,8 +339,6 @@ class Passage:
         """Structural identity: same id, nodes, root and edge multiset."""
         if not isinstance(other, Passage):
             return NotImplemented
-        from collections import Counter
-
         return (
             self.passage_id == other.passage_id
             and self.root == other.root

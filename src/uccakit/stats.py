@@ -2,31 +2,34 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from operator import add
 
 from .categories import ALL_CODES, report_order
 from .graph import Passage
+from .records import Record
 
 
-@dataclass
-class StatsReport:
+class StatsReport(Record):
     """Aggregate counts over a corpus, with derived percentages.
 
     Percentages are micro: computed on the aggregate counts, not averaged
     per passage.  Merging reports is associative and commutative.
+    non_root_nodes, the reentrancy denominator, counts all nodes except roots.
     """
 
-    passages: int = 0
-    tokens: int = 0
-    non_terminals: int = 0
-    discontinuous: int = 0
-    reentrant: int = 0
-    non_root_nodes: int = 0  # reentrancy denominator: all nodes except roots
-    edges: int = 0
-    primary: int = 0
-    remote: int = 0
-    category_counts: Counter = field(default_factory=Counter)
+    __slots__ = ("passages", "tokens", "non_terminals", "discontinuous", "reentrant",
+                 "non_root_nodes", "edges", "primary", "remote", "category_counts")
+
+    def __init__(self, passages: int = 0, tokens: int = 0, non_terminals: int = 0,
+                 discontinuous: int = 0, reentrant: int = 0, non_root_nodes: int = 0,
+                 edges: int = 0, primary: int = 0, remote: int = 0,
+                 category_counts: Counter | None = None):
+        self.passages, self.tokens, self.non_terminals = passages, tokens, non_terminals
+        self.discontinuous, self.reentrant, self.non_root_nodes = (
+            discontinuous, reentrant, non_root_nodes)
+        self.edges, self.primary, self.remote = edges, primary, remote
+        self.category_counts = Counter() if category_counts is None else category_counts
 
     @property
     def pct_discontinuous(self) -> float:
@@ -69,7 +72,7 @@ class StatsReport:
             self.category_counts[edge.category.code] += 1
 
     def merge(self, other: "StatsReport") -> "StatsReport":
-        return StatsReport(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
+        return StatsReport(*map(add, self._values(), other._values()))
 
     def to_dict(self) -> dict:
         payload = {key: _json_value(getattr(self, key)) for _, key in _ROWS}

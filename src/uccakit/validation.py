@@ -8,10 +8,11 @@ errors, so third-party outputs remain scorable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .categories import ALL_CODES, LEGACY, LEGACY_REPLACEMENT, PUNCT_CODE
 from .graph import Passage, is_punctuation
+from .records import Record
 
 RULES = {
     "V0": "no legacy T/Q labels remain",
@@ -22,32 +23,42 @@ RULES = {
 }
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """The set of enabled validation rules; unknown ids are rejected."""
+class RuleSet(Record):
+    """The enabled validation rules, immutable and hashable; unknown ids are rejected."""
 
-    enabled: frozenset[str] = frozenset(RULES)
+    __slots__ = ("enabled",)
 
-    def __post_init__(self):
-        unknown = set(self.enabled) - set(RULES)
+    def __init__(self, enabled: frozenset[str] = frozenset(RULES)):
+        unknown = set(enabled) - set(RULES)
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
+        object.__setattr__(self, "enabled", enabled)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return RuleSet, self._values()
 
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self.enabled
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    ref: str  # offending node id or "parent->child" edge reference
-    message: str
+#: One broken rule; ref is the offending node id or a "parent->child" edge.
+Violation = namedtuple("Violation", "rule ref message")
 
 
-@dataclass
-class ValidationReport:
-    passage_id: str
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("passage_id", "violations")
+
+    def __init__(self, passage_id: str, violations: list[Violation] | None = None):
+        self.passage_id = passage_id
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -9,11 +9,20 @@ from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
-from uccakit.categories import FOUNDATIONAL, LEGACY_REPLACEMENT
+from uccakit.categories import FOUNDATIONAL, LEGACY_REPLACEMENT, Category
+from uccakit.errors import DanglingReference, XmlFormatError, XmlSyntax
 from uccakit.formats import HEAD_PRIORITY, ROOT_DEPREL, BilexicalRow
-from uccakit.graph import GraphError, Node, NodeId, NodeKind, Passage, build_passage, is_punctuation
+from uccakit.graph import (
+    Edge,
+    GraphError,
+    Node,
+    NodeId,
+    NodeKind,
+    Passage,
+    build_passage,
+    is_punctuation,
+)
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "today", "quietly"]
 PUNCT = [",", ".", ";", "!"]
@@ -81,9 +90,7 @@ def rebuild(passage: Passage, edit=None) -> Passage:
 
 
 def relabel(edge, code):
-    from uccakit.categories import Category
-
-    return replace(edge, category=Category.from_code(code))
+    return edge._replace(category=Category.from_code(code))
 
 
 # -- brute-force reference scorer -----------------------------------------
@@ -298,3 +305,79 @@ def reference_export_bilexical(passage: Passage) -> list[BilexicalRow]:
             head = heads[parent].position
         rows.append(BilexicalRow(terminal.position, terminal.text, head, deprel))
     return rows
+
+
+# -- reference XML reader -------------------------------------------------
+
+
+def reference_parse_xml(document: bytes | str) -> Passage:
+    """The ElementTree reader that formats.parse_xml replaced, kept as the
+    oracle whose passages and errors it must match."""
+    try:
+        root = ET.fromstring(document)
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the latter two: bad encoding
+        raise XmlSyntax(f"malformed XML: {exc}") from None
+    if root.tag != "root" or "passageID" not in root.attrib:
+        raise XmlFormatError("expected a <root passageID=...> document element")
+    passage_id = root.attrib["passageID"]
+
+    layers = {}
+    for layer in root.findall("layer"):
+        layer_id = layer.attrib.get("layerID")
+        if layer_id in layers:
+            raise XmlFormatError(f"repeated layerID {layer_id!r}")
+        layers[layer_id] = layer
+    if "0" not in layers or "1" not in layers:
+        raise XmlFormatError("document must contain layers 0 and 1")
+
+    tokens = []
+    for position, node in enumerate(layers["0"].findall("node"), start=1):
+        nid = node.attrib.get("ID", "")
+        if nid != f"0.{position}":
+            raise XmlFormatError(f"terminal {position} has ID {nid!r}, expected 0.{position}")
+        attributes = node.find("attributes")
+        if attributes is None or "text" not in attributes.attrib:
+            raise XmlFormatError(f"terminal {nid} lacks a text attribute")
+        tokens.append(attributes.attrib["text"])
+
+    units: list[tuple[NodeId, NodeKind]] = []
+    written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
+    ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by text
+    for node in layers["1"].findall("node"):
+        try:
+            nid = NodeId.parse(node.attrib.get("ID", ""))
+        except GraphError:
+            raise XmlFormatError(f"bad unit ID: {node.attrib.get('ID')!r}") from None
+        if str(nid) in ids:
+            raise XmlFormatError(f"duplicate unit ID: {nid}")
+        ids[str(nid)] = nid
+        attributes = node.find("attributes")
+        implicit = attributes is not None and attributes.attrib.get("implicit") == "True"
+        units.append((nid, NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL))
+        for edge in node.findall("edge"):
+            to_id = edge.attrib.get("toID")
+            code = edge.attrib.get("type")
+            if to_id is None or code is None:
+                raise XmlFormatError(f"edge under {nid} lacks toID or type")
+            edge_attrs = edge.find("attributes")
+            remote = edge_attrs is not None and edge_attrs.attrib.get("remote") == "True"
+            written.append((nid, to_id, code, remote))
+
+    ids.update((f"0.{k}", NodeId(0, k)) for k in range(1, len(tokens) + 1))
+    edges = []
+    for nid, to_id, code, remote in written:
+        # A toID not written as str(NodeId) is parsed, then looked up.
+        child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
+        if child is None:
+            raise DanglingReference(f"edge toID={to_id} is not a declared node")
+        edges.append(Edge(nid, child, Category.from_code(code), remote))
+
+    referenced = {edge.child for edge in edges}
+    roots = [unit for unit in units if unit[0] not in referenced]
+    if len(roots) != 1:
+        raise XmlFormatError(f"expected exactly one root unit, found {len(roots)}")
+    (root_id, root_kind), = roots
+    if root_kind is NodeKind.IMPLICIT:
+        raise XmlFormatError(f"root unit {root_id} is marked implicit")
+    others = [unit for unit in units if unit[0] != root_id]
+    return Passage.assemble(passage_id, tokens, root_id, others, edges)

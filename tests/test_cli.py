@@ -263,6 +263,45 @@ class TestStats:
         assert str(broken / "bad.xml") in err and "Traceback" not in err
 
 
+class TestNotRegularFile:
+    """A FIFO or a device is refused by name and never opened: reading a
+    FIFO would block until a writer came."""
+
+    @pytest.fixture(autouse=True)
+    def no_reads(self, monkeypatch):
+        def read_bytes(path):
+            raise AssertionError(f"opened {path}")
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    @pytest.mark.parametrize("command", ["stats", "validate"])
+    def test_fifo(self, capsys, tmp_path, command):
+        fifo = tmp_path / "fifo.xml"
+        os.mkfifo(fifo)
+        code, out, err = run(capsys, command, str(fifo))
+        assert (code, out) == (2, "")
+        assert err == f"{fifo}: is not a regular file or directory\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    @pytest.mark.parametrize("entry", ["fifo", "directory"])
+    def test_directory_entry(self, capsys, corpus_dir, entry):
+        odd = corpus_dir / "odd.xml"
+        if entry == "fifo":
+            os.mkfifo(odd)
+        else:
+            odd.mkdir()
+        code, out, err = run(capsys, "validate", str(corpus_dir))
+        assert (code, out) == (2, "")
+        assert err == f"{odd}: is not a regular file\n"
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null here")
+    def test_device(self, capsys, corpus_dir):
+        code, out, err = run(capsys, "evaluate", "--gold", str(corpus_dir), "--system", "/dev/null")
+        assert (code, out) == (2, "")
+        assert err == "/dev/null: is not a regular file or directory\n"
+
+
 class TestDirectoryWithoutXml:
     """Such a directory, often a mistyped path, is refused rather than read
     as an empty corpus."""
@@ -376,6 +415,26 @@ class TestClosedOutput:
             os.close(write_end)
         assert result.stderr == b""
         assert result.returncode == cli.EXIT_USAGE
+
+
+class TestImportCost:
+    def test_cli_loads_no_dataclasses_or_elementtree(self):
+        # dataclasses imports inspect, and with it ast, dis and tokenize:
+        # about 25 ms more start-up for every command.
+        src = str(Path(cli.__file__).parents[1])
+        probe = "import uccakit.cli, sys; print(' '.join(sys.modules))"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert "uccakit.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
+        assert not [name for name in loaded if name == "xml.etree" or name.startswith("xml.etree.")]
 
 
 class TestUsage:

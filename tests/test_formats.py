@@ -33,6 +33,7 @@ from .helpers import (
     random_passage,
     reaches,
     reference_export_bilexical,
+    reference_parse_xml,
     reference_serialize_xml,
 )
 
@@ -433,3 +434,109 @@ class TestParserFuzz:
             return
         assert again.sealed
 
+
+# -- the reader against the ElementTree reader it replaced -----------------
+
+
+def outcome(read, document):
+    """The passage read, as its id, root, nodes, edges in order and
+    bottom-up order; or the error, as its type and message."""
+    try:
+        p = read(document)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.passage_id, p.root, p.nodes, p.edges, p.bottom_up()
+
+
+#: Markup inserted after a random ">": unknown and nested elements, elements
+#: that the reader reads in one place found in another, a comment, a
+#: processing instruction, text, and entity and character references.
+INSERTED = [
+    "<unknown/>", '<x><node ID="1.9" type="FN"/></x>', '<layer layerID="2"/>',
+    '<layer layerID="1"><node ID="1.7" type="FN"/></layer>', '<n:layer xmlns:n="urn:n" layerID="0"/>',
+    '<attributes remote="True" implicit="True" text="t"/>', '<edge toID="0.1" type="A"/>',
+    "<!-- a comment -->", "<?pi data?>", "text", "&e;", "&ext;", "&nest;", "&amp;", "&#38;",
+]
+
+#: DOCTYPEs with internal, external and nested entities, an external DTD
+#: subset, a parameter entity and a defaulted attribute.
+DOCTYPES = [
+    '<!DOCTYPE root [<!ENTITY e "<x/>">]>',
+    '<!DOCTYPE root [<!ENTITY e "v"><!ENTITY ext SYSTEM "ext.xml"><!ENTITY nest "a&ext;b">]>',
+    '<!DOCTYPE root SYSTEM "root.dtd" [<!ENTITY e "<attributes remote=\'True\'/>">]>',
+    '<!DOCTYPE root [<!ENTITY % pe SYSTEM "pe.dtd"> %pe;]>',
+    '<!DOCTYPE root [<!ATTLIST edge type CDATA "H">]>',
+]
+
+
+def with_doctype(document: bytes, doctype: str) -> bytes:
+    """The DOCTYPE inserted after the XML declaration."""
+    declaration, _, rest = document.partition(b"\n")
+    return declaration + b"\n" + doctype.encode() + b"\n" + rest
+
+
+#: A document whose DOCTYPE has an external part, so that expat does not
+#: itself refuse an undeclared entity.
+UNDECLARED_ENTITY = with_doctype(MINIMAL, '<!DOCTYPE root SYSTEM "root.dtd">').replace(
+    b'<attributes text="hi"/>', b'<attributes text="hi"/>&undeclared;')
+EXTERNAL_ENTITY = with_doctype(MINIMAL, '<!DOCTYPE root [<!ENTITY e SYSTEM "e.xml">]>').replace(
+    b"</root>", b"&e;</root>")
+
+
+class TestReaderMatchesReference:
+    """parse_xml reads what the ElementTree reader read, and refuses what it
+    refused, with the same error type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(passages, st.data())
+    def test_documents(self, p, data):
+        document = serialize_xml(p)
+        for _ in range(data.draw(st.integers(0, 3))):
+            ends = [m.end() for m in re.finditer(rb">", document)]
+            at = data.draw(st.sampled_from(ends))
+            document = document[:at] + data.draw(st.sampled_from(INSERTED)).encode() + document[at:]
+        if data.draw(st.booleans()):
+            document = with_doctype(document, data.draw(st.sampled_from(DOCTYPES)))
+        if data.draw(st.booleans()):
+            document = mutate(document, data)
+        if data.draw(st.integers(0, 4)) == 0:  # as text; bad bytes become lone surrogates
+            document = document.decode("utf-8", "surrogateescape")
+        assert outcome(parse_xml, document) == outcome(reference_parse_xml, document)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            MINIMAL.decode(),
+            b"\xef\xbb\xbf" + MINIMAL,
+            MINIMAL.decode().replace("utf-8", "utf-16").encode("utf-16"),
+            with_doctype(MINIMAL, '<!DOCTYPE root [<!ENTITY hi "hi">]>').replace(b'"hi"/>', b'"&hi;"/>'),
+        ],
+        ids=["str", "bom", "utf-16", "internal-entity"],
+    )
+    def test_read(self, document):
+        assert outcome(parse_xml, document) == outcome(reference_parse_xml, document)
+        assert parse_xml(document) == parse_xml(MINIMAL)
+
+    @pytest.mark.parametrize(
+        "document, error, message",
+        [
+            (MINIMAL.replace(b"<root ", b'<root xmlns="urn:x" '), XmlFormatError,
+             "expected a <root passageID=...> document element"),
+            (UNDECLARED_ENTITY, XmlSyntax,
+             "malformed XML: undefined entity &undeclared;: line 5, column 54"),
+            (EXTERNAL_ENTITY, XmlSyntax, "malformed XML: undefined entity &e;: line 10, column 0"),
+            (MINIMAL.replace(b"</root>", b"&e;</root>"), XmlSyntax,
+             "malformed XML: undefined entity: line 9, column 0"),
+        ],
+        ids=["namespaced-root", "undeclared-entity", "external-entity", "entity-without-doctype"],
+    )
+    def test_refused(self, document, error, message):
+        assert outcome(parse_xml, document) == outcome(reference_parse_xml, document) == (error, message)
+
+    # The codecs word these messages, so they are compared, not pinned.
+    @pytest.mark.parametrize("encoding", [b"utf-9", b"rot13", b"utf-7", b"idna"])
+    def test_bad_encoding(self, encoding):
+        document = MINIMAL.replace(b"utf-8", encoding)
+        error, message = outcome(parse_xml, document)
+        assert (error, message) == outcome(reference_parse_xml, document)
+        assert error is XmlSyntax and message.startswith("malformed XML: ")
