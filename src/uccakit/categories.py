@@ -51,7 +51,7 @@ class Category(namedtuple("Category", "code longname")):
     @classmethod
     def from_code(cls, code: str) -> "Category":
         try:
-            return _REGISTRY[code]
+            return CATEGORIES[code]
         except KeyError:
             raise UnknownCategory(f"unknown category code: {code!r}") from None
 
@@ -62,7 +62,8 @@ class Category(namedtuple("Category", "code longname")):
         return self.code
 
 
-_REGISTRY = {code: Category(code, longname) for code, longname in ALL_CODES.items()}
+#: Every category by its code.
+CATEGORIES = {code: Category(code, longname) for code, longname in ALL_CODES.items()}
 
 
 def as_category(value: "Category | str") -> Category:

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: evaluate, validate, normalize, stats, convert.  Inputs are
-passage XML files or directories of them.  Exit codes: 0 success, 1 usage error,
-output closed early (`| head`) or output path cannot be written (path named on
-stderr), 2 parse error, or an input that is missing, a directory holding no
+passage XML files or directories of them.  evaluate pairs gold and system files
+by stem, or two given files with each other; stats takes each input once.  Exit
+codes: 0 success, 1 usage error (such as a stats input given twice, path named
+on stderr), output closed early (`| head`) or output path cannot be written (path
+named on stderr), 2 parse error, or an input that is missing, a directory holding no
 *.xml file, or neither a regular file nor a directory (a FIFO or a device, never
 opened; a directory's *.xml entries must be regular files), offending path named
 on stderr, 3 token mismatch between system and gold, 4 validation violations
@@ -66,8 +68,12 @@ def _json_output(args) -> bool:
 
 
 def _cmd_evaluate(args) -> int:
-    gold = {p.stem: p for p in _xml_files(Path(args.gold))}
-    system = {p.stem: p for p in _xml_files(Path(args.system))}
+    gold_path, system_path = Path(args.gold), Path(args.system)
+    if gold_path.is_file() and system_path.is_file():  # a pair whatever the stems
+        gold, system = {"": gold_path}, {"": system_path}
+    else:
+        gold = {p.stem: p for p in _xml_files(gold_path)}
+        system = {p.stem: p for p in _xml_files(system_path)}
     if set(gold) != set(system):
         only_gold = sorted(set(gold) - set(system))
         only_system = sorted(set(system) - set(gold))
@@ -129,6 +135,10 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    for k, name in enumerate(args.input):  # columns are keyed by path
+        if name in args.input[:k]:
+            print(f"{name}: given more than once", file=sys.stderr)
+            return EXIT_USAGE
     reports = {
         name: stats.corpus_stats(_load(p) for p in _xml_files(Path(name)))
         for name in args.input

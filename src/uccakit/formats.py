@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import namedtuple
 from xml.parsers.expat import ExpatError, ParserCreate
 
-from .categories import LEGACY_REPLACEMENT, Category
+from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category
 from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax
 from .graph import Edge, NodeId, NodeKind, Passage, is_punctuation
 
@@ -66,7 +66,7 @@ def parse_xml(document: bytes | str) -> Passage:
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
 
-    tokens = []
+    tokens, terminal_ids = [], []
     for position, (attrs, attributes, _, _) in enumerate(layers["0"], start=1):
         nid = attrs.get("ID", "")
         if nid != f"0.{position}":
@@ -74,6 +74,7 @@ def parse_xml(document: bytes | str) -> Passage:
         if attributes is None or "text" not in attributes:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
         tokens.append(attributes["text"])
+        terminal_ids.append(nid)
 
     units: list[tuple[NodeId, NodeKind]] = []
     written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
@@ -83,9 +84,10 @@ def parse_xml(document: bytes | str) -> Passage:
             nid = NodeId.parse(attrs.get("ID", ""))
         except GraphError:
             raise XmlFormatError(f"bad unit ID: {attrs.get('ID')!r}") from None
-        if str(nid) in ids:
-            raise XmlFormatError(f"duplicate unit ID: {nid}")
-        ids[str(nid)] = nid
+        text = str(nid)
+        if text in ids:
+            raise XmlFormatError(f"duplicate unit ID: {text}")
+        ids[text] = nid
         implicit = attributes is not None and attributes.get("implicit") == "True"
         units.append((nid, NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL))
         for attrs, attributes, _, _ in edges:
@@ -95,14 +97,16 @@ def parse_xml(document: bytes | str) -> Passage:
             remote = attributes is not None and attributes.get("remote") == "True"
             written.append((nid, to_id, code, remote))
 
-    ids.update((f"0.{k}", NodeId(0, k)) for k in range(1, len(tokens) + 1))
+    new = tuple.__new__  # checked fields: each record is built without its Python __new__
+    ids.update(zip(terminal_ids, [new(NodeId, (0, k)) for k in range(1, len(tokens) + 1)]))
     edges = []
     for nid, to_id, code, remote in written:
         # A toID not written as str(NodeId) is parsed, then looked up.
         child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
         if child is None:
             raise DanglingReference(f"edge toID={to_id} is not a declared node")
-        edges.append(Edge(nid, child, Category.from_code(code), remote))
+        category = CATEGORIES[code] if code in CATEGORIES else Category.from_code(code)
+        edges.append(new(Edge, (nid, child, category, remote)))
 
     referenced = {edge.child for edge in edges}
     roots = [unit for unit in units if unit[0] not in referenced]

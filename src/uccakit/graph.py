@@ -4,9 +4,11 @@ A passage is a token sequence plus a layered graph over it: terminals in
 layer 0, semantic units in layer 1.  Primary edges form a tree; remote
 edges add reentrancy, so the full edge set is a DAG.  Passages are mutable
 while being built and immutable once sealed by :meth:`Passage.freeze`;
-all analytic queries require a sealed passage.  Sealing walks the whole
-edge set once and records a bottom-up node order; the first yield asked
-for fills the yields of all nodes at once, in that order.
+all analytic queries require a sealed passage.  Units added one at a time
+and units loaded in bulk by :meth:`Passage.assemble` pass through the
+same loop of checks, and edges through one linker, ``Passage._link``.
+Sealing walks the whole edge set once and records a bottom-up node order;
+the first yield asked for fills the yields of all nodes at once, in that order.
 """
 from __future__ import annotations
 
@@ -90,6 +92,10 @@ class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
 Edge = namedtuple("Edge", "parent child category remote", defaults=(False,))
 
 
+#: A tuple record from checked fields, without NodeId's or a namedtuple's Python __new__.
+_new = tuple.__new__
+
+
 class Passage:
     """One annotated text unit.
 
@@ -105,31 +111,29 @@ class Passage:
         tokens: Iterable[str],
         root_id: NodeId | None = None,
     ):
-        tokens = list(tokens)
+        tokens = tuple(tokens)
         if not tokens:
             raise GraphError("a passage needs at least one token")
         self.passage_id = passage_id
         self._sealed = False
-        self._nodes: dict[NodeId, Node] = {}
+        self._tokens = tokens
+        ids = [_new(NodeId, (TERMINAL_LAYER, position)) for position in range(1, len(tokens) + 1)]
+        self._terminals = [
+            _new(Node, (nid, NodeKind.TERMINAL, text, nid[1])) for nid, text in zip(ids, tokens)
+        ]
+        self._nodes: dict[NodeId, Node] = dict(zip(ids, self._terminals))
         self._edges: list[Edge] = []
-        self._out: dict[NodeId, list[Edge]] = {}
-        self._in: dict[NodeId, list[Edge]] = {}
+        self._out: dict[NodeId, list[Edge]] = {nid: [] for nid in ids}
+        self._in: dict[NodeId, list[Edge]] = {nid: [] for nid in ids}
         self._max_unit_index = 0
         # Set by freeze and filled all at once by _fill_yields; relabeled
         # copies share both.
         self._order: list[NodeId] = []
         self._yields: dict[NodeId, tuple[int, ...]] = {}
-        self._terminals = [
-            Node(NodeId(TERMINAL_LAYER, position), NodeKind.TERMINAL, text=text, position=position)
-            for position, text in enumerate(tokens, start=1)
-        ]
-        self._tokens = tuple(tokens)
-        for terminal in self._terminals:
-            self._register(terminal)
         self.root = root_id or NodeId(UNIT_LAYER, 1)
         if self.root.layer != UNIT_LAYER:
             raise GraphError(f"root must live in layer {UNIT_LAYER}: {self.root}")
-        self._register(Node(self.root, NodeKind.NON_TERMINAL))
+        self._add_units([(self.root, NodeKind.NON_TERMINAL)])
 
     # -- construction -----------------------------------------------------
 
@@ -144,14 +148,14 @@ class Passage:
     ) -> "Passage":
         """Build and seal a passage in bulk, as a reader of a whole document does.
 
-        Each edge gets every check of add_edge except the cycle search:
-        freeze's acyclicity check then covers the whole passage at once.
+        The units go through add_node's checks and the edges through
+        add_edge's single linker, _link, each list in one loop; only
+        add_edge's cycle search is left out: freeze's acyclicity check then
+        covers the whole passage at once.
         """
         passage = cls(passage_id, tokens, root_id=root_id)
-        for node_id, kind in units:
-            passage.add_node(kind, node_id=node_id)
-        for edge in edges:
-            passage._link(edge)
+        passage._add_units(units)
+        passage._link(edges)
         return passage.freeze()
 
     def add_node(self, kind: NodeKind, node_id: NodeId | None = None) -> NodeId:
@@ -160,15 +164,9 @@ class Passage:
         The passage temporarily violates reachability; freeze() seals it.
         """
         self._require_mutable()
-        if kind is NodeKind.TERMINAL:
-            raise GraphError("terminals are fixed by the token sequence")
         if node_id is None:
             node_id = NodeId(UNIT_LAYER, self._max_unit_index + 1)
-        elif node_id in self._nodes:
-            raise GraphError(f"node id already taken: {node_id}")
-        elif node_id.layer != UNIT_LAYER:
-            raise GraphError(f"units must live in layer {UNIT_LAYER}: {node_id}")
-        self._register(Node(node_id, kind))
+        self._add_units([(node_id, kind)])
         return node_id
 
     def add_edge(
@@ -179,8 +177,7 @@ class Passage:
         remote: bool = False,
     ) -> None:
         self._require_mutable()
-        edge = Edge(parent, child, as_category(category), remote)
-        self._link(edge)
+        self._link([Edge(parent, child, as_category(category), remote)])
         # Only a path from child back to parent closes a cycle, and there is
         # none unless the child has children and the parent has parents.
         if child == parent or (
@@ -199,24 +196,25 @@ class Passage:
         """
         if self._sealed:
             return self
-        if self._in[self.root]:
-            raise StructuralViolation("root-parent", self.root)
-        for node in self._nodes.values():
-            if node.id == self.root:
-                continue
-            primaries = [e for e in self._in[node.id] if not e.remote]
-            if len(primaries) != 1:
-                rule = "terminal-coverage" if node.is_terminal else "reachability"
-                raise StructuralViolation(rule, node.id)
+        root, in_, out = self.root, self._in, self._out
+        if in_[root]:
+            raise StructuralViolation("root-parent", root)
+        for nid, parents in in_.items():
+            # Nearly every node has one primary parent and nothing else.
+            if (len(parents) != 1 or parents[0].remote) and nid != root:
+                if sum(not e.remote for e in parents) != 1:
+                    rule = "terminal-coverage" if nid[0] == TERMINAL_LAYER else "reachability"
+                    raise StructuralViolation(rule, nid)
         # Kahn's walk over all edges: a node joins once all its parents,
         # primary and remote, have.  A node left out lies on or below a cycle.
-        pending = {nid: len(parents) for nid, parents in self._in.items()}
-        order = [self.root]
+        pending = dict(zip(in_, map(len, in_.values())))
+        order = [root]
         for nid in order:
-            for edge in self._out[nid]:
-                pending[edge.child] -= 1
-                if not pending[edge.child]:
-                    order.append(edge.child)
+            for edge in out[nid]:
+                child = edge.child
+                pending[child] -= 1
+                if not pending[child]:
+                    order.append(child)
         if len(order) != len(self._nodes):
             stuck = next(nid for nid in self._nodes if nid.layer == UNIT_LAYER and pending[nid])
             raise StructuralViolation("acyclicity", stuck)
@@ -245,10 +243,9 @@ class Passage:
 
     def terminal_id(self, position: int) -> NodeId:
         """The NodeId of the terminal at a 1-based token position."""
-        nid = NodeId(TERMINAL_LAYER, position)
-        if nid not in self._nodes:
+        if not 1 <= position <= len(self._terminals):
             raise UnknownNode(f"no terminal at position {position}")
-        return nid
+        return self._terminals[position - 1].id
 
     @property
     def nodes(self) -> list[Node]:
@@ -298,27 +295,32 @@ class Passage:
         return list(self._order)
 
     def relabeled(self, codes: Mapping[str, str]) -> "Passage":
-        """A sealed copy whose edge categories are mapped through `codes`.
+        """A sealed copy whose edge categories are mapped through `codes`,
+        every code of which must name a category.
 
         Relabeling cannot change the primary tree, so the copy shares this
         passage's node table, bottom-up order and yields; only the edge
-        lists are new.  A remote edge that the mapping turns into a
-        duplicate is dropped.
+        lists are new, linked without the checks that relabeling cannot
+        break.  A remote edge equal to one linked before it, which only the
+        mapping can make, is dropped.
         """
         self.require_sealed()
         fresh = object.__new__(type(self))
         fresh.__dict__.update(self.__dict__)  # copy.copy, without importing copy
-        fresh._edges = []
-        fresh._out = {nid: [] for nid in self._nodes}
-        fresh._in = {nid: [] for nid in self._nodes}
+        fresh._edges = edges = []
+        fresh._out = out = {nid: [] for nid in self._nodes}
+        fresh._in = in_ = {nid: [] for nid in self._nodes}
+        categories = {code: as_category(new) for code, new in codes.items()}
         for edge in self._edges:
-            code = codes.get(edge.category.code)
-            if code is not None:
-                edge = Edge(edge.parent, edge.child, as_category(code), edge.remote)
-            try:
-                fresh._link(edge)
-            except DuplicateEdge:
-                pass
+            category = categories.get(edge.category.code)
+            if category is not None:
+                edge = _new(Edge, (edge.parent, edge.child, category, edge.remote))
+            siblings = in_[edge.child]
+            if edge.remote and edge in siblings:
+                continue
+            edges.append(edge)
+            out[edge.parent].append(edge)
+            siblings.append(edge)
         return fresh
 
     def is_discontinuous(self, node_id: NodeId) -> bool:
@@ -357,36 +359,52 @@ class Passage:
 
     # -- internals ---------------------------------------------------------
 
-    def _register(self, node: Node) -> None:
-        self._nodes[node.id] = node
-        self._out.setdefault(node.id, [])
-        self._in.setdefault(node.id, [])
-        if node.id.layer == UNIT_LAYER:
-            self._max_unit_index = max(self._max_unit_index, node.id.index)
-
     def _require_mutable(self) -> None:
         if self._sealed:
             raise SealedPassage(f"passage {self.passage_id} is sealed")
 
-    def _link(self, edge: Edge) -> None:
-        """Append an edge after every check that needs no graph search."""
-        parent, child = edge.parent, edge.child
-        parent_node, child_node = self.node(parent), self.node(child)
-        if parent_node.kind is not NodeKind.NON_TERMINAL:
-            raise TerminalAsParent(
-                f"{parent_node.kind.value} node {parent} cannot have children"
-            )
-        if edge.remote and child_node.is_terminal and is_punctuation(child_node.text):
-            raise GraphError(f"remote edge may not point at punctuation terminal {child}")
-        # A child has one primary parent and few remote ones: a short scan.
-        for e in self._in[child]:
-            if e == edge:
-                raise DuplicateEdge(f"duplicate edge {parent} -{edge.category}-> {child}")
-            if not (edge.remote or e.remote):
-                raise DuplicatePrimaryParent(f"{child} already has a primary parent")
-        self._edges.append(edge)
-        self._out[parent].append(edge)
-        self._in[child].append(edge)
+    def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
+        """Register unattached layer-1 units, checking each one."""
+        nodes, out, in_ = self._nodes, self._out, self._in
+        top = self._max_unit_index
+        for node_id, kind in units:
+            if kind is NodeKind.TERMINAL:
+                raise GraphError("terminals are fixed by the token sequence")
+            if node_id in nodes:
+                raise GraphError(f"node id already taken: {node_id}")
+            if node_id[0] != UNIT_LAYER:
+                raise GraphError(f"units must live in layer {UNIT_LAYER}: {node_id}")
+            nodes[node_id] = _new(Node, (node_id, kind, None, None))
+            out[node_id] = []
+            in_[node_id] = []
+            if node_id[1] > top:
+                top = node_id[1]
+        self._max_unit_index = top
+
+    def _link(self, edges: Iterable[Edge]) -> None:
+        """Append edges, each after every check that needs no graph search."""
+        nodes, out, in_, append = self._nodes, self._out, self._in, self._edges.append
+        for edge in edges:
+            parent, child = edge.parent, edge.child
+            try:
+                parent_node, child_node = nodes[parent], nodes[child]
+            except KeyError as missing:
+                raise UnknownNode(f"no such node: {missing.args[0]}") from None
+            if parent_node.kind is not NodeKind.NON_TERMINAL:
+                raise TerminalAsParent(f"{parent_node.kind.value} node {parent} cannot have children")
+            remote = edge.remote
+            if remote and child_node.kind is NodeKind.TERMINAL and is_punctuation(child_node.text):
+                raise GraphError(f"remote edge may not point at punctuation terminal {child}")
+            # A child has one primary parent and few remote ones: a short scan.
+            siblings = in_[child]
+            for e in siblings:
+                if e == edge:
+                    raise DuplicateEdge(f"duplicate edge {parent} -{edge.category}-> {child}")
+                if not (remote or e.remote):
+                    raise DuplicatePrimaryParent(f"{child} already has a primary parent")
+            append(edge)
+            out[parent].append(edge)
+            siblings.append(edge)
 
     def _reaches(self, start: NodeId, target: NodeId) -> bool:
         """DFS over the full edge set."""

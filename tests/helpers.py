@@ -1,5 +1,6 @@
-"""Shared test machinery: random passage generation, passage surgery and
-an independent brute-force reference scorer.
+"""Shared test machinery: random passage generation, passage surgery, an
+independent brute-force reference scorer, and the replaced implementations
+kept as oracles (XML reader and writer, assembly, bi-lexical export).
 
 The reference scorer deliberately avoids the library's yield cache and
 multiset matcher: it recomputes yields by plain recursion and finds the
@@ -11,9 +12,18 @@ import random
 import xml.etree.ElementTree as ET
 
 from uccakit.categories import FOUNDATIONAL, LEGACY_REPLACEMENT, Category
-from uccakit.errors import DanglingReference, XmlFormatError, XmlSyntax
+from uccakit.errors import (
+    DanglingReference,
+    DuplicateEdge,
+    DuplicatePrimaryParent,
+    StructuralViolation,
+    TerminalAsParent,
+    XmlFormatError,
+    XmlSyntax,
+)
 from uccakit.formats import HEAD_PRIORITY, ROOT_DEPREL, BilexicalRow
 from uccakit.graph import (
+    UNIT_LAYER,
     Edge,
     GraphError,
     Node,
@@ -380,4 +390,78 @@ def reference_parse_xml(document: bytes | str) -> Passage:
     if root_kind is NodeKind.IMPLICIT:
         raise XmlFormatError(f"root unit {root_id} is marked implicit")
     others = [unit for unit in units if unit[0] != root_id]
-    return Passage.assemble(passage_id, tokens, root_id, others, edges)
+    return reference_assemble(passage_id, tokens, root_id, others, edges)
+
+
+# -- reference assembly ---------------------------------------------------
+
+
+def reference_assemble(passage_id, tokens, root_id, units, edges) -> Passage:
+    """The assembly that Passage.assemble's bulk loops replaced, kept as
+    their oracle: add_node's checks and registration once per unit, _link's
+    checks once per edge, then the freeze loop that listed each node's
+    primary parents.  Like Passage.assemble it runs no cycle search."""
+    passage = Passage(passage_id, tokens, root_id=root_id)
+    for node_id, kind in units:
+        _reference_add_node(passage, kind, node_id)
+    for edge in edges:
+        _reference_link(passage, edge)
+    return _reference_freeze(passage)
+
+
+def _reference_add_node(passage: Passage, kind: NodeKind, node_id: NodeId) -> None:
+    if kind is NodeKind.TERMINAL:
+        raise GraphError("terminals are fixed by the token sequence")
+    if node_id in passage._nodes:
+        raise GraphError(f"node id already taken: {node_id}")
+    if node_id.layer != UNIT_LAYER:
+        raise GraphError(f"units must live in layer {UNIT_LAYER}: {node_id}")
+    passage._nodes[node_id] = Node(node_id, kind)
+    passage._out.setdefault(node_id, [])
+    passage._in.setdefault(node_id, [])
+    passage._max_unit_index = max(passage._max_unit_index, node_id.index)
+
+
+def _reference_link(passage: Passage, edge: Edge) -> None:
+    parent, child = edge.parent, edge.child
+    parent_node, child_node = passage.node(parent), passage.node(child)
+    if parent_node.kind is not NodeKind.NON_TERMINAL:
+        raise TerminalAsParent(
+            f"{parent_node.kind.value} node {parent} cannot have children"
+        )
+    if edge.remote and child_node.is_terminal and is_punctuation(child_node.text):
+        raise GraphError(f"remote edge may not point at punctuation terminal {child}")
+    for e in passage._in[child]:
+        if e == edge:
+            raise DuplicateEdge(f"duplicate edge {parent} -{edge.category}-> {child}")
+        if not (edge.remote or e.remote):
+            raise DuplicatePrimaryParent(f"{child} already has a primary parent")
+    passage._edges.append(edge)
+    passage._out[parent].append(edge)
+    passage._in[child].append(edge)
+
+
+def _reference_freeze(passage: Passage) -> Passage:
+    if passage._in[passage.root]:
+        raise StructuralViolation("root-parent", passage.root)
+    for node in passage._nodes.values():
+        if node.id == passage.root:
+            continue
+        primaries = [e for e in passage._in[node.id] if not e.remote]
+        if len(primaries) != 1:
+            rule = "terminal-coverage" if node.is_terminal else "reachability"
+            raise StructuralViolation(rule, node.id)
+    pending = {nid: len(parents) for nid, parents in passage._in.items()}
+    order = [passage.root]
+    for nid in order:
+        for edge in passage._out[nid]:
+            pending[edge.child] -= 1
+            if not pending[edge.child]:
+                order.append(edge.child)
+    if len(order) != len(passage._nodes):
+        stuck = next(nid for nid in passage._nodes
+                     if nid.layer == UNIT_LAYER and pending[nid])
+        raise StructuralViolation("acyclicity", stuck)
+    passage._order = order[::-1]
+    passage._sealed = True
+    return passage

@@ -105,6 +105,23 @@ class TestEvaluate:
         assert code == 1
         assert "two" in err
 
+    def test_two_files_pair_whatever_their_stems(self, capsys, corpus_dir, degraded_dir, tmp_path):
+        gold, system = tmp_path / "g1.xml", tmp_path / "s1.xml"
+        gold.write_bytes((corpus_dir / "one.xml").read_bytes())
+        system.write_bytes((degraded_dir / "one.xml").read_bytes())
+        code, out, err = run(capsys, "evaluate", "--gold", str(gold), "--system", str(system), "--json")
+        assert (code, err) == (0, "")
+        _, same_stem, _ = run(capsys, "evaluate", "--gold", str(corpus_dir / "one.xml"),
+                              "--system", str(degraded_dir / "one.xml"), "--json")
+        assert out == same_stem
+        assert json.loads(out)["labeled"]["remote"]["gold"] == 1
+
+    def test_file_and_directory_still_pair_by_stem(self, capsys, corpus_dir, degraded_dir):
+        code, _, err = run(capsys, "evaluate", "--gold", str(corpus_dir / "one.xml"),
+                           "--system", str(degraded_dir))
+        assert code == 1
+        assert err == "unpaired files (gold only: [], system only: ['two'])\n"
+
     def test_parse_error_names_file(self, capsys, corpus_dir, tmp_path):
         broken = tmp_path / "broken"
         broken.mkdir()
@@ -245,6 +262,17 @@ class TestStats:
         assert code == 0
         assert out.splitlines()[0].split() == [str(d) for d in dirs]
         assert out == stats.render_table(self.as_read(*dirs)) + "\n"
+
+    @pytest.mark.parametrize("inputs", [("gold", "gold"), ("gold", "gold/one.xml", "gold")])
+    def test_repeated_input_refused_before_reading(self, capsys, corpus_dir, monkeypatch, inputs):
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(Path, "read_bytes", no_read)
+        names = [str(corpus_dir.parent / name) for name in inputs]
+        code, out, err = run(capsys, "stats", *names)
+        assert (code, out) == (1, "")
+        assert err == f"{names[0]}: given more than once\n"
 
     def test_missing_directory(self, capsys, corpus_dir, tmp_path):
         missing = tmp_path / "missing"

@@ -22,7 +22,7 @@ from uccakit.formats import parse_xml, serialize_xml
 from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
 from uccakit.stats import corpus_stats
 
-from .helpers import random_passage
+from .helpers import PUNCT, random_passage, reference_assemble
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
@@ -81,6 +81,17 @@ class TestBuildPassage:
     def test_empty_tokens_rejected(self):
         with pytest.raises(GraphError):
             build_passage("p-empty", [])
+
+    @pytest.mark.parametrize("position", [0, -1, 3])
+    def test_terminal_id_out_of_range(self, position):
+        p = build_passage("p", ["x", "y"])
+        with pytest.raises(UnknownNode, match=rf"^no terminal at position {position}$"):
+            p.terminal_id(position)
+
+    def test_terminal_id(self):
+        p = build_passage("p", ["x", "y"])
+        assert [p.terminal_id(k) for k in (1, 2)] == [t.id for t in p.terminals]
+        assert type(p.terminal_id(1)) is NodeId
 
 
 class TestAddNode:
@@ -383,3 +394,114 @@ def test_shuffled_unit_order_round_trips(seed):
     again = parse_xml(ET.tostring(document))
     assert again == p
     assert serialize_xml(again) == serialize_xml(p)
+
+
+# -- bulk assembly against the per-node, per-edge assembly it replaced ------
+
+
+def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> None:
+    """Put one defect at a random place in a passage's unit or edge list."""
+    ids = [nid for nid, _ in units] + [p.root]
+    parents = [nid for nid, kind in units if kind is NodeKind.NON_TERMINAL] + [p.root]
+    children = [n.id for n in p.nodes if n.id != p.root]
+    category = p.edges[0].category
+    primary = [e for e in edges if not e.remote]
+    punct = [t.id for t in p.terminals if t.text in PUNCT]
+    defect = rng.choice([
+        "duplicate", "second-primary", "implicit-parent", "terminal-parent", "remote-punct",
+        "unknown-parent", "unknown-child", "self-loop", "cycle", "unreachable", "root-parent",
+        "terminal-unit", "taken-id", "wrong-layer", "remote-only",
+    ])
+    if defect == "duplicate" and edges:
+        added = rng.choice(edges)
+    elif defect == "second-primary" and primary:
+        added = Edge(rng.choice(parents), rng.choice(primary).child, category, False)
+    elif defect == "implicit-parent":
+        unit = NodeId(1, 900)
+        units.insert(rng.randint(0, len(units)), (unit, NodeKind.IMPLICIT))
+        added = Edge(unit, rng.choice(children), category, rng.random() < 0.5)
+    elif defect == "terminal-parent":
+        added = Edge(p.terminals[0].id, rng.choice(children), category, False)
+    elif defect == "remote-punct" and punct:
+        added = Edge(rng.choice(parents), rng.choice(punct), category, True)
+    elif defect == "unknown-parent":
+        added = Edge(NodeId(1, 999), rng.choice(children), category, False)
+    elif defect == "unknown-child":
+        added = Edge(rng.choice(parents), NodeId(rng.randint(0, 1), 999), category, True)
+    elif defect == "self-loop":
+        unit = rng.choice(parents)
+        added = Edge(unit, unit, category, rng.random() < 0.5)
+    elif defect == "cycle" and primary:
+        edge = rng.choice(primary)
+        added = Edge(edge.child, edge.parent, category, True)
+    elif defect == "root-parent":
+        added = Edge(rng.choice(parents), p.root, category, rng.random() < 0.5)
+    elif defect == "remote-only" and primary:  # a child left with remote parents only
+        edge = rng.choice(primary)
+        edges[edges.index(edge)] = edge._replace(remote=True)
+        return
+    elif defect == "unreachable":
+        units.insert(rng.randint(0, len(units)), (NodeId(1, 901), NodeKind.NON_TERMINAL))
+        return
+    elif defect in ("terminal-unit", "taken-id", "wrong-layer"):
+        unit = {"terminal-unit": (NodeId(1, 902), NodeKind.TERMINAL),
+                "taken-id": (rng.choice(ids + children), NodeKind.NON_TERMINAL),
+                "wrong-layer": (NodeId(2, 1), NodeKind.NON_TERMINAL)}[defect]
+        units.insert(rng.randint(0, len(units)), unit)
+        return
+    else:
+        return  # the passage has nothing to build this defect from
+    edges.insert(rng.randint(0, len(edges)), added)
+
+
+def assembled(assemble, p: Passage, units: list, edges: list):
+    """The passage assembled, as its id, root, nodes, edges in order and
+    bottom-up order; or the error, as its type, message, rule and node."""
+    try:
+        q = assemble(p.passage_id, p.tokens, p.root, units, edges)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "rule", None), getattr(exc, "node_id", None)
+    return q.passage_id, q.root, q.nodes, q.edges, q.bottom_up()
+
+
+class TestAssembleMatchesReference:
+    """Passage.assemble's bulk loops build what the per-node, per-edge
+    assembly built, and refuse what it refused, in the same words."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2))
+    def test_random_passages_with_defects(self, seed, legacy_labels, defects):
+        rng = random.Random(seed)
+        p = random_passage(rng, max_tokens=12, max_units=8, max_remotes=3,
+                           legacy_labels=legacy_labels)
+        units = [(n.id, n.kind) for n in p.nodes if not n.is_terminal and n.id != p.root]
+        edges = p.edges
+        if rng.random() < 0.5:
+            rng.shuffle(units)
+            rng.shuffle(edges)
+        for _ in range(defects):
+            inject_defect(rng, p, units, edges)
+        ours = assembled(Passage.assemble, p, units, edges)
+        assert ours == assembled(reference_assemble, p, units, edges)
+        if not defects:  # a listing order of the passage itself loads as it
+            assert ours[:2] == (p.passage_id, p.root) and ours[3] == edges
+            assert sorted(ours[2]) == sorted(p.nodes)
+
+    def test_every_defect_is_refused(self):
+        # Each defect alone, on a passage that has what it needs: refused
+        # by both, in the same words.
+        refused = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            p = random_passage(rng, tokens=["a", ",", "b", "c"], max_units=5, max_remotes=0)
+            units = [(n.id, n.kind) for n in p.nodes if not n.is_terminal and n.id != p.root]
+            edges = p.edges
+            inject_defect(rng, p, units, edges)
+            ours = assembled(Passage.assemble, p, units, edges)
+            assert ours == assembled(reference_assemble, p, units, edges)
+            if isinstance(ours[0], type):
+                refused.add(ours[0].__name__ if ours[2] is None else ours[2])
+        assert refused >= {
+            "GraphError", "DuplicateEdge", "DuplicatePrimaryParent", "TerminalAsParent",
+            "UnknownNode", "root-parent", "reachability", "acyclicity",
+        }

@@ -38,6 +38,22 @@ class TestNormalize:
         remote = next(e for e in p.edges if e.remote)
         assert remote.category.code == "E"
 
+    # The remote D edge listed after the remote T edge is not relabeled, yet
+    # equals the relabeled one and must be dropped all the same.
+    @pytest.mark.parametrize("codes", [("T", "D"), ("D", "T")], ids=["T-first", "D-first"])
+    def test_remote_time_and_adverbial_to_one_unit_keep_one_edge(self, codes):
+        raw = build_passage("p", ["a", "b"])
+        u = raw.add_node(NodeKind.NON_TERMINAL)
+        raw.add_edge(raw.root, u, "H")
+        raw.add_edge(u, raw.terminal_id(1), "P")
+        raw.add_edge(raw.root, raw.terminal_id(2), "A")
+        for code in codes:
+            raw.add_edge(raw.root, u, code, remote=True)
+        p = normalize(raw.freeze())
+        remotes = [(e.parent, e.child, e.category.code) for e in p.edges if e.remote]
+        assert remotes == [(raw.root, u, "D")]
+        assert len(p.edges) == 4
+
     def test_fixed_point_returns_same_structure(self, remote_passage):
         assert normalize(remote_passage) == remote_passage
 
