@@ -7,9 +7,10 @@ codes: 0 success, 1 usage error (such as a stats input given twice, path named
 on stderr), output closed early (`| head`) or output path cannot be written (path
 named on stderr), 2 parse error, or an input that is missing, a directory holding no
 *.xml file, or neither a regular file nor a directory (a FIFO or a device, never
-opened; a directory's *.xml entries must be regular files), offending path named
-on stderr, 3 token mismatch between system and gold, 4 validation violations
-under --strict.
+opened; a directory's *.xml entries must be regular files), or, for convert, a
+token holding a tab or a line break (no output written for that input),
+offending path named on stderr, 3 token mismatch between system and gold, 4
+validation violations under --strict.
 """
 from __future__ import annotations
 
@@ -31,6 +32,9 @@ EXIT_VIOLATIONS = 4
 
 #: Environment variable selecting the default output format ("json" or "table").
 FORMAT_ENV_VAR = "UCCAKIT_FORMAT"
+
+#: Characters that convert refuses in a token: they would split its field or line.
+_FIELD_BREAKS = frozenset("\t\r\n")
 
 
 class _ParseFailure(Exception):
@@ -158,6 +162,9 @@ def _cmd_convert(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in _xml_files(Path(args.input)):
         passage = _load(path)
+        for position, token in enumerate(passage.tokens, 1):
+            if not _FIELD_BREAKS.isdisjoint(token):
+                raise _ParseFailure(path, f"token {position} holds a tab or a line break")
         if args.to == "text":
             (out_dir / f"{path.stem}.txt").write_text(
                 formats.export_text(passage) + "\n", encoding="utf-8"

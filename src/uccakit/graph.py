@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
-from operator import itemgetter
 
 from .categories import Category, as_category
 from .errors import (
@@ -44,7 +43,7 @@ class NodeKind(Enum):
     IMPLICIT = "implicit"
 
 
-class NodeId(tuple):
+class NodeId(namedtuple("NodeId", "layer index")):
     """A node address, rendered as "layer.index" (e.g. "0.3", "1.1").
 
     A ``(layer, index)`` tuple, so hashing, equality and ordering run in C;
@@ -58,14 +57,7 @@ class NodeId(tuple):
             raise GraphError(f"bad node id: {layer}.{index}")
         return tuple.__new__(cls, (layer, index))
 
-    layer = property(itemgetter(0))
-    index = property(itemgetter(1))
-
-    def __getnewargs__(self) -> tuple[int, int]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"NodeId(layer={self[0]}, index={self[1]})"
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __str__(self) -> str:
         return f"{self[0]}.{self[1]}"

@@ -14,8 +14,6 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .categories import ALL_CODES, LEGACY, LEGACY_REPLACEMENT, PUNCT_CODE
 from .graph import Passage, is_punctuation
@@ -23,27 +24,19 @@ RULES = {
 }
 
 
-class RuleSet(Record):
-    """The enabled validation rules, immutable and hashable; unknown ids are rejected."""
+class RuleSet(namedtuple("RuleSet", "enabled")):
+    """The enabled validation rules as a frozenset; unknown ids are rejected."""
 
-    __slots__ = ("enabled",)
+    __slots__ = ()
 
-    def __init__(self, enabled: frozenset[str] = frozenset(RULES)):
-        unknown = set(enabled) - set(RULES)
+    def __new__(cls, enabled: Iterable[str] = RULES) -> "RuleSet":
+        enabled = frozenset(enabled)
+        unknown = enabled.difference(RULES)
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
-        object.__setattr__(self, "enabled", enabled)
+        return tuple.__new__(cls, (enabled,))
 
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        return RuleSet, self._values()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self.enabled
@@ -95,39 +88,38 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
     report = ValidationReport(passage.passage_id)
 
     def flag(rule: str, ref, message: str) -> None:
-        report.violations.append(Violation(rule, str(ref), message))
+        if rule in rules:
+            report.violations.append(Violation(rule, str(ref), message))
 
     def edge_ref(edge) -> str:
         return f"{edge.parent}->{edge.child}"
 
     for edge in passage.edges:
-        if "V0" in rules and edge.category.code in LEGACY:
+        if edge.category.code in LEGACY:
             flag("V0", edge_ref(edge), f"legacy label {edge.category.code}; run normalize first")
-        if "V4" in rules and edge.category.code not in ALL_CODES:
+        if edge.category.code not in ALL_CODES:
             flag("V4", edge_ref(edge), f"category {edge.category.code} outside the inventory")
 
-    if "V1" in rules or "V2" in rules:
-        for unit in passage.non_terminals:
-            out = passage.outgoing(unit.id)
-            main = [e for e in out if e.category.code in ("P", "S")]
-            if not main:
-                continue
-            if "V1" in rules and len(main) > 1:
-                codes = "".join(e.category.code for e in main)
-                flag("V1", unit.id, f"multiple main relations ({codes}) in one Scene")
-            if "V2" in rules and not any(e.category.code == "A" for e in out):
-                flag("V2", unit.id, "Scene without a Participant")
+    for unit in passage.non_terminals:
+        out = passage.outgoing(unit.id)
+        main = [e for e in out if e.category.code in ("P", "S")]
+        if not main:
+            continue
+        if len(main) > 1:
+            codes = "".join(e.category.code for e in main)
+            flag("V1", unit.id, f"multiple main relations ({codes}) in one Scene")
+        if not any(e.category.code == "A" for e in out):
+            flag("V2", unit.id, "Scene without a Participant")
 
-    if "V3" in rules:
-        for edge in passage.edges:
-            if edge.remote:
-                continue
-            child = passage.node(edge.child)
-            punct = child.is_terminal and is_punctuation(child.text)
-            if punct and edge.category.code != PUNCT_CODE:
-                flag("V3", edge_ref(edge),
-                     f"punctuation token attached as {edge.category.code}, expected U")
-            if not punct and edge.category.code == PUNCT_CODE:
-                flag("V3", edge_ref(edge), "U edge points at a non-punctuation node")
+    for edge in passage.edges:
+        if edge.remote:
+            continue
+        child = passage.node(edge.child)
+        punct = child.is_terminal and is_punctuation(child.text)
+        if punct and edge.category.code != PUNCT_CODE:
+            flag("V3", edge_ref(edge),
+                 f"punctuation token attached as {edge.category.code}, expected U")
+        if not punct and edge.category.code == PUNCT_CODE:
+            flag("V3", edge_ref(edge), "U edge points at a non-punctuation node")
 
     return report

@@ -8,6 +8,7 @@ import pytest
 
 from uccakit import cli, stats
 from uccakit.formats import parse_xml, serialize_xml
+from uccakit.graph import build_passage
 from uccakit.samples import implicit_sample, remote_sample
 from uccakit.validation import normalize
 
@@ -94,6 +95,18 @@ class TestEvaluate:
         )
         assert not any(line.startswith("labeled/") for line in out.splitlines())
         assert "unlabeled/all" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--fine-grained"]], ids=["plain", "fine-grained"])
+    def test_unlabeled_json_keeps_only_unlabeled(self, capsys, corpus_dir, extra):
+        code, out, _ = run(
+            capsys,
+            "evaluate", "--gold", str(corpus_dir), "--system", str(corpus_dir),
+            "--unlabeled", "--json", *extra,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["unlabeled"]
+        assert payload["unlabeled"]["all"]["f1"] == 1.0
 
     def test_unpaired_files(self, capsys, corpus_dir, tmp_path):
         lonely = tmp_path / "lonely"
@@ -403,6 +416,46 @@ class TestConvert:
             tsv[name] = (out_dir / "p.tsv").read_bytes()
         assert b"\tE\n" in tsv["legacy"]
         assert tsv["legacy"] == tsv["normalized"]
+
+
+class TestConvertRefusesFieldBreaks:
+    """A token holding a tab or a line break would split its field or line."""
+
+    TOKENS = ["New&#09;York", "is&#10;big", "ok&#13;"]
+
+    @pytest.fixture
+    def broken_dir(self, tmp_path):
+        d = tmp_path / "broken"
+        d.mkdir()
+        (d / "good.xml").write_bytes(serialize_xml(remote_sample()))
+        p = build_passage("p", ["a", "b"])
+        p.add_edge(p.root, p.terminal_id(1), "A")
+        p.add_edge(p.root, p.terminal_id(2), "S")
+        clean = serialize_xml(p.freeze())
+        for k, token in enumerate(self.TOKENS):
+            # Token 1 or token 2 breaks, by turns.
+            old = b'text="a"' if k % 2 == 0 else b'text="b"'
+            (d / f"p{k}.xml").write_bytes(clean.replace(old, f'text="{token}"'.encode()))
+        return d
+
+    @pytest.mark.parametrize("to, suffix", [("text", ".txt"), ("bilexical", ".tsv")])
+    @pytest.mark.parametrize("k", range(len(TOKENS)))
+    def test_refused(self, capsys, broken_dir, tmp_path, to, suffix, k):
+        path = broken_dir / f"p{k}.xml"
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "convert", str(path), "--to", to, "--out", str(out_dir))
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == f"{path}: token {k % 2 + 1} holds a tab or a line break\n"
+        assert not (out_dir / f"p{k}{suffix}").exists()
+
+    @pytest.mark.parametrize("to, suffix", [("text", ".txt"), ("bilexical", ".tsv")])
+    def test_directory_stops_at_the_broken_file(self, capsys, broken_dir, tmp_path, to, suffix):
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "convert", str(broken_dir), "--to", to, "--out", str(out_dir))
+        assert code == cli.EXIT_PARSE
+        assert err == f"{broken_dir / 'p0.xml'}: token 1 holds a tab or a line break\n"
+        assert [f.name for f in out_dir.iterdir()] == [f"good{suffix}"]
 
 
 class TestUnwritableOutput:

@@ -93,6 +93,21 @@ class TestBuildPassage:
         assert [p.terminal_id(k) for k in (1, 2)] == [t.id for t in p.terminals]
         assert type(p.terminal_id(1)) is NodeId
 
+    def test_root_outside_layer_one_rejected(self):
+        with pytest.raises(GraphError, match=r"^root must live in layer 1: 0\.1$"):
+            Passage("p", ["a"], root_id=NodeId(0, 1))
+
+    def test_repr_names_state_and_sizes(self):
+        p = build_passage("p", ["x", "y"])
+        p.add_edge(p.root, p.terminal_id(1), "A")
+        assert repr(p) == "<Passage 'p' building: 2 tokens, 3 nodes, 1 edges>"
+        p.add_edge(p.root, p.terminal_id(2), "P")
+        assert repr(p.freeze()) == "<Passage 'p' sealed: 2 tokens, 3 nodes, 2 edges>"
+
+    def test_not_equal_to_other_types(self):
+        p = build_passage("p", ["x"])
+        assert (p == 1) is False
+
 
 class TestAddNode:
     def test_sequential_allocation(self):

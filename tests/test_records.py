@@ -1,6 +1,6 @@
-"""The record types: tuples for the immutable ones, ``__slots__`` classes for
-the mutable ones and for RuleSet.  Each keeps the repr, equality and
-copying behaviour it had as a dataclass."""
+"""The record types: namedtuples for the immutable ones, RuleSet and NodeId
+included, and ``__slots__`` classes for the three mutable reports.  Each keeps
+the repr, equality and copying behaviour it had as a dataclass."""
 import copy
 import pickle
 from collections import Counter
@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from uccakit.categories import Category
+from uccakit.errors import GraphError
 from uccakit.evaluation import Counts, EdgeSignature, EvalScores
 from uccakit.formats import BilexicalRow
 from uccakit.graph import Edge, Node, NodeId, NodeKind
@@ -92,6 +93,30 @@ class TestRuleSet:
 
     def test_default_enables_every_rule(self):
         assert all(rule in RuleSet() for rule in ("V0", "V1", "V2", "V3", "V4"))
+
+    @pytest.mark.parametrize("enabled", [{"V0"}, ["V0", "V0"]], ids=["set", "list"])
+    def test_any_iterable_is_frozen(self, enabled):
+        rules = RuleSet(enabled)
+        assert rules == RuleSet(frozenset({"V0"}))
+        assert hash(rules) == hash(RuleSet(frozenset({"V0"})))
+        assert type(rules.enabled) is frozenset
+
+
+class TestCheckedReplace:
+    """namedtuple's _replace goes through _make, which runs the checks."""
+
+    def test_node_id(self):
+        with pytest.raises(GraphError, match=r"^bad node id: 1\.0$"):
+            NodeId(1, 2)._replace(index=0)
+        nid = NodeId(1, 2)._replace(index=3)
+        assert type(nid) is NodeId and nid == NodeId(1, 3)
+
+    def test_rule_set(self):
+        with pytest.raises(ValueError, match=r"^unknown rule ids: \['bogus'\]$"):
+            RuleSet()._replace(enabled={"bogus"})
+        rules = RuleSet()._replace(enabled={"V1"})
+        assert type(rules) is RuleSet and rules == RuleSet(frozenset({"V1"}))
+        assert type(rules.enabled) is frozenset
 
 
 class TestEquality:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from uccakit.categories import LEGACY_REPLACEMENT
 from uccakit.graph import NodeKind, build_passage
-from uccakit.validation import RuleSet, normalize, validate
+from uccakit.samples import implicit_sample, remote_sample
+from uccakit.validation import RULES, RuleSet, normalize, validate
 
 from .helpers import random_passage, rebuild, relabel
 
@@ -122,6 +124,49 @@ class TestRuleSet:
         rules = RuleSet(frozenset({"V1", "V2"}))
         assert "V1" in rules
         assert "V3" not in rules
+
+
+def breaks_v0_to_v3():
+    """A legacy label (V0), a Scene with two main relations (V1) and no
+    Participant (V2), and punctuation attached as Q (V3)."""
+    p = build_passage("p", ["x", ",", "y", "z"])
+    scene = p.add_node(NodeKind.NON_TERMINAL)
+    p.add_edge(p.root, scene, "H")
+    p.add_edge(p.root, p.terminal_id(2), "Q")
+    p.add_edge(scene, p.terminal_id(1), "P")
+    p.add_edge(scene, p.terminal_id(3), "S")
+    p.add_edge(scene, p.terminal_id(4), "T")
+    return p.freeze()
+
+
+RULE_SUBSETS = [
+    frozenset(subset) for n in range(len(RULES) + 1) for subset in itertools.combinations(RULES, n)
+]
+
+
+def assert_subsets_filter_full_report(p):
+    everything = validate(p).violations
+    for subset in RULE_SUBSETS:
+        expected = [v for v in everything if v.rule in subset]
+        assert validate(p, RuleSet(subset)).violations == expected
+
+
+class TestRuleSubsets:
+    """Any rule set reports exactly the full report's violations of its
+    rules, in the same order."""
+
+    @settings(max_examples=100)
+    @given(legacy_passages)
+    def test_random_passages(self, p):
+        assert_subsets_filter_full_report(p)
+
+    @pytest.mark.parametrize("make", [remote_sample, implicit_sample, breaks_v0_to_v3],
+                             ids=["remote", "implicit", "V0-V3"])
+    def test_fixed_passages(self, make):
+        assert_subsets_filter_full_report(make())
+
+    def test_hand_written_passage_breaks_v0_to_v3(self):
+        assert {v.rule for v in validate(breaks_v0_to_v3()).violations} == {"V0", "V1", "V2", "V3"}
 
 
 class TestValidate:
