@@ -8,8 +8,10 @@ on stderr), output closed early (`| head`) or output path cannot be written (pat
 named on stderr), 2 parse error, or an input that is missing, a directory holding no
 *.xml file, or neither a regular file nor a directory (a FIFO or a device, never
 opened; a directory's *.xml entries must be regular files), or, for convert, a
-token holding a tab or a line break (no output written for that input),
-offending path named on stderr, 3 token mismatch between system and gold, 4
+token holding a tab or a line break (no output written for that input), or,
+for validate without --json, a passage id holding one (none of that file's
+lines printed), offending path named on stderr, 3 token mismatch between
+system and gold (both paths named on stderr, with the first difference), 4
 validation violations under --strict.
 """
 from __future__ import annotations
@@ -33,7 +35,8 @@ EXIT_VIOLATIONS = 4
 #: Environment variable selecting the default output format ("json" or "table").
 FORMAT_ENV_VAR = "UCCAKIT_FORMAT"
 
-#: Characters that convert refuses in a token: they would split its field or line.
+#: Characters that would split a field or line of tab-separated output: convert
+#: refuses them in a token, validate's plain output in a passage id.
 _FIELD_BREAKS = frozenset("\t\r\n")
 
 
@@ -87,15 +90,15 @@ def _cmd_evaluate(args) -> int:
         )
         return EXIT_USAGE
 
-    def pairs():
-        # One pair in memory at a time: score_corpus consumes them as read.
-        for stem in sorted(gold):
-            out, ref = _load(system[stem]), _load(gold[stem])
-            if not args.no_normalize:
-                out, ref = validation.normalize(out), validation.normalize(ref)
-            yield out, ref
-
-    scores = evaluation.score_corpus(pairs(), include_punct=not args.exclude_punct)
+    scores = evaluation.EvalScores()
+    for stem in sorted(gold):  # one pair in memory at a time
+        out, ref = _load(system[stem]), _load(gold[stem])
+        if not args.no_normalize:
+            out, ref = validation.normalize(out), validation.normalize(ref)
+        try:
+            scores = scores.merge(evaluation.score_passage(out, ref, not args.exclude_punct))
+        except TokenMismatch as exc:
+            raise TokenMismatch(f"{system[stem]} vs {gold[stem]}: {exc}") from None
     if _json_output(args):
         payload = scores.to_dict()
         if not args.fine_grained:
@@ -116,7 +119,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_validate(args) -> int:
     violations = 0
     for path in _xml_files(Path(args.input)):
-        report = validation.validate(_load(path))
+        passage = _load(path)
+        if not (_json_output(args) or _FIELD_BREAKS.isdisjoint(passage.passage_id)):
+            raise _ParseFailure(path, "passage id holds a tab or a line break")
+        report = validation.validate(passage)
         violations += len(report.violations)
         if _json_output(args):
             if report.violations:

@@ -29,10 +29,6 @@ class DuplicateEdge(GraphError):
     """Exact duplicate of an existing (parent, child, category, remote) edge."""
 
 
-class CycleDetected(GraphError):
-    pass
-
-
 class SealedPassage(GraphError):
     """Mutation attempted on a sealed passage."""
 

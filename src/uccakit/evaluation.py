@@ -7,16 +7,19 @@ one-to-one multiset intersection, performed independently for primary and
 remote edges; the "all" stratum sums the two count triples before
 computing precision, recall and F1.  Edges whose child yield is empty
 (implicit children) never enter a matching pool.
+
+An edge's key is its child's yield mask (see :mod:`uccakit.graph`), its
+code and its class.  Each pair is scored from one tally of those keys;
+yields are decoded to positions only for :func:`edge_signatures`.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator
-from operator import itemgetter
+from collections import Counter, defaultdict, namedtuple
+from collections.abc import Iterable
 
 from .categories import ALL_CODES, PUNCT_CODE, report_order
 from .errors import TokenMismatch
-from .graph import Passage
+from .graph import Passage, yield_positions
 from .records import Record
 
 STRATA = ("all", "primary", "remote")
@@ -26,12 +29,14 @@ STRATA = ("all", "primary", "remote")
 EdgeSignature = namedtuple("EdgeSignature", "span category remote")
 
 
-def _pooled(passage: Passage, include_punct: bool) -> Iterator[tuple[tuple[int, ...], str, bool]]:
-    """(span, code, remote) of every edge that enters a matching pool."""
-    for edge in passage.edges:
-        span = passage.yield_of(edge.child)
-        if span and (include_punct or edge.category.code != PUNCT_CODE):
-            yield span, edge.category.code, edge.remote
+def _pooled(passage: Passage, include_punct: bool) -> list[tuple[int, str, bool]]:
+    """(yield mask, code, remote) of every edge that enters a matching pool."""
+    masks = passage.yield_masks()
+    return [
+        (mask, category.code, remote)
+        for _, child, category, remote in passage.edges
+        if (mask := masks[child]) and (include_punct or category.code != PUNCT_CODE)
+    ]
 
 
 def edge_signatures(
@@ -39,8 +44,8 @@ def edge_signatures(
 ) -> list[EdgeSignature]:
     """One signature per edge with a non-empty child yield."""
     return [
-        EdgeSignature(span, code if labeled else None, remote)
-        for span, code, remote in _pooled(passage, include_punct)
+        EdgeSignature(yield_positions(mask), code if labeled else None, remote)
+        for mask, code, remote in _pooled(passage, include_punct)
     ]
 
 
@@ -114,35 +119,47 @@ class EvalScores(Record):
 def score_passage(output: Passage, gold: Passage, include_punct: bool = True) -> EvalScores:
     """Score one output passage against its gold annotation."""
     if output.tokens != gold.tokens:
-        raise TokenMismatch(
-            f"passage {gold.passage_id}: output has {len(output.tokens)} tokens "
-            f"vs {len(gold.tokens)} gold, or the texts differ"
-        )
-    # One multiset of (span, code, remote) keys per passage.  Matching is
-    # per key, so strata and categories are sums over the matched keys; the
-    # unlabeled keys (span, remote) merge labels, so they are matched anew.
+        raise TokenMismatch(f"passage {gold.passage_id}: {_difference(output.tokens, gold.tokens)}")
+    # One tally per pair: each (mask, code, remote) key's count on both
+    # sides.  Matching is per key, so the labeled strata and the categories
+    # are sums by (code, remote); the unlabeled keys (mask, remote) merge
+    # labels, so their counts are summed before they are matched.
     out = Counter(_pooled(output, include_punct))
     ref = Counter(_pooled(gold, include_punct))
-    unlabeled, remote_of, code_of = itemgetter(0, 2), itemgetter(-1), itemgetter(1)
+    labels = defaultdict(lambda: [0, 0, 0])  # (code, remote): matched, predicted, gold
+    spans = defaultdict(lambda: [0, 0])  # (mask, remote): predicted, gold
+    for key in out.keys() | ref.keys():
+        mask, code, remote = key
+        predicted, wanted = out.get(key, 0), ref.get(key, 0)
+        counts = labels[code, remote]
+        counts[0] += predicted if predicted < wanted else wanted
+        counts[1] += predicted
+        counts[2] += wanted
+        counts = spans[mask, remote]
+        counts[0] += predicted
+        counts[1] += wanted
+    matched = [0, 0]  # unlabeled, primary and remote
+    for (_, remote), (predicted, wanted) in spans.items():
+        matched[remote] += predicted if predicted < wanted else wanted
     scores = EvalScores()
-    for target, o, r in (
-        (scores.labeled, out, ref),
-        (scores.unlabeled, _project(unlabeled, out), _project(unlabeled, ref)),
-    ):
-        matched, predicted, wanted = (_project(remote_of, c) for c in (o & r, o, r))
-        for remote in (False, True):
-            counts = Counts(matched[remote], predicted[remote], wanted[remote])
-            target["remote" if remote else "primary"] += counts
-            target["all"] += counts
-    matched, predicted, wanted = (_project(code_of, c) for c in (out & ref, out, ref))
-    for code in sorted(predicted.keys() | wanted.keys()):
-        scores.by_category[code] = Counts(matched[code], predicted[code], wanted[code])
+    for (code, remote), counts in labels.items():
+        counts = Counts._make(counts)
+        scores.labeled[STRATA[1 + remote]] += counts
+        scores.by_category[code] = scores.by_category.get(code, Counts()) + counts
+    for remote, stratum in enumerate(STRATA[1:]):
+        labeled = scores.labeled[stratum]
+        scores.unlabeled[stratum] = Counts(matched[remote], labeled.predicted, labeled.gold)
+    for strata in (scores.labeled, scores.unlabeled):
+        strata["all"] = strata["primary"] + strata["remote"]
     return scores
 
 
-def _project(field, keys: Counter) -> Counter:
-    """The multiset of field(key) over the keys of `keys`, with multiplicity."""
-    return Counter(map(field, keys.elements()))
+def _difference(output: tuple[str, ...], gold: tuple[str, ...]) -> str:
+    """Where two different token sequences first part."""
+    if len(output) != len(gold):
+        return f"output has {len(output)} tokens, gold has {len(gold)}"
+    k = next(k for k in range(len(gold)) if output[k] != gold[k])
+    return f"token {k + 1} is {output[k]!r} in the output, {gold[k]!r} in the gold"
 
 
 def score_corpus(

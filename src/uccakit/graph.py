@@ -7,8 +7,10 @@ while being built and immutable once sealed by :meth:`Passage.freeze`;
 all analytic queries require a sealed passage.  Units added one at a time
 and units loaded in bulk by :meth:`Passage.assemble` pass through the
 same loop of checks, and edges through one linker, ``Passage._link``.
-Sealing walks the whole edge set once and records a bottom-up node order;
-the first yield asked for fills the yields of all nodes at once, in that order.
+Sealing walks the whole edge set once, the only acyclicity check, and
+records a bottom-up node order; the first yield asked for fills the yields
+of all nodes at once, in that order, as integer masks with bit k set for
+token k, decoded to positions only where a yield leaves the library.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from enum import Enum
 
 from .categories import Category, as_category
 from .errors import (
-    CycleDetected,
     DuplicateEdge,
     DuplicatePrimaryParent,
     GraphError,
@@ -115,13 +116,14 @@ class Passage:
         ]
         self._nodes: dict[NodeId, Node] = dict(zip(ids, self._terminals))
         self._edges: list[Edge] = []
-        self._out: dict[NodeId, list[Edge]] = {nid: [] for nid in ids}
+        # A terminal has no children: one shared () stands for every list.
+        self._out: dict[NodeId, list[Edge] | tuple] = dict.fromkeys(ids, ())
         self._in: dict[NodeId, list[Edge]] = {nid: [] for nid in ids}
         self._max_unit_index = 0
         # Set by freeze and filled all at once by _fill_yields; relabeled
         # copies share both.
         self._order: list[NodeId] = []
-        self._yields: dict[NodeId, tuple[int, ...]] = {}
+        self._yields: dict[NodeId, int] = {}
         self.root = root_id or NodeId(UNIT_LAYER, 1)
         if self.root.layer != UNIT_LAYER:
             raise GraphError(f"root must live in layer {UNIT_LAYER}: {self.root}")
@@ -141,9 +143,8 @@ class Passage:
         """Build and seal a passage in bulk, as a reader of a whole document does.
 
         The units go through add_node's checks and the edges through
-        add_edge's single linker, _link, each list in one loop; only
-        add_edge's cycle search is left out: freeze's acyclicity check then
-        covers the whole passage at once.
+        add_edge's linker, _link, each list in one loop; freeze then checks
+        the whole passage, cycles included.
         """
         passage = cls(passage_id, tokens, root_id=root_id)
         passage._add_units(units)
@@ -168,17 +169,9 @@ class Passage:
         category: Category | str,
         remote: bool = False,
     ) -> None:
+        """Link one edge.  An edge that closes a cycle is refused by freeze."""
         self._require_mutable()
         self._link([Edge(parent, child, as_category(category), remote)])
-        # Only a path from child back to parent closes a cycle, and there is
-        # none unless the child has children and the parent has parents.
-        if child == parent or (
-            self._out[child] and self._in[parent] and self._reaches(child, parent)
-        ):
-            self._edges.pop()
-            self._out[parent].pop()
-            self._in[child].pop()
-            raise CycleDetected(f"edge {parent} -> {child} would close a cycle")
 
     def freeze(self) -> "Passage":
         """Verify all passage invariants, record the bottom-up node order
@@ -268,17 +261,21 @@ class Passage:
 
     # -- queries (sealed passages only) -----------------------------------
 
-    def yield_of(self, node_id: NodeId) -> tuple[int, ...]:
-        """Token positions of all terminal descendants via primary edges.
-
-        A terminal yields its own position; implicit nodes yield ().  The
-        first call computes the yields of every node in one pass.
-        """
+    def yield_masks(self) -> dict[NodeId, int]:
+        """Every node's yield as a mask with bit k set for token k: the
+        table itself, to be read and not changed."""
         self.require_sealed()
-        self.node(node_id)
         if not self._yields:
             self._fill_yields()
-        return self._yields[node_id]
+        return self._yields
+
+    def yield_of(self, node_id: NodeId) -> tuple[int, ...]:
+        """Token positions of all terminal descendants via primary edges,
+        in increasing order: the node's mask, decoded.
+
+        A terminal yields its own position; implicit nodes yield ().
+        """
+        return yield_positions(self.yield_masks()[self.node(node_id).id])
 
     def bottom_up(self) -> list[NodeId]:
         """Every node id, each one after all of its children: a copy of the
@@ -300,7 +297,7 @@ class Passage:
         fresh = object.__new__(type(self))
         fresh.__dict__.update(self.__dict__)  # copy.copy, without importing copy
         fresh._edges = edges = []
-        fresh._out = out = {nid: [] for nid in self._nodes}
+        fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in self._nodes}
         fresh._in = in_ = {nid: [] for nid in self._nodes}
         categories = {code: as_category(new) for code, new in codes.items()}
         for edge in self._edges:
@@ -316,11 +313,11 @@ class Passage:
         return fresh
 
     def is_discontinuous(self, node_id: NodeId) -> bool:
-        """True iff the yield is non-empty and not a contiguous range."""
-        positions = self.yield_of(node_id)
-        if not positions:
-            return False
-        return positions[-1] - positions[0] + 1 != len(positions)
+        """True iff the yield is non-empty and not a contiguous range: adding
+        the lowest set bit clears the lowest run of set bits, and another
+        run is left."""
+        mask = self.yield_masks()[self.node(node_id).id]
+        return (mask + (mask & -mask)) & mask != 0
 
     def is_reentrant(self, node_id: NodeId) -> bool:
         """True iff the node has at least two incoming edges."""
@@ -398,37 +395,31 @@ class Passage:
             out[parent].append(edge)
             siblings.append(edge)
 
-    def _reaches(self, start: NodeId, target: NodeId) -> bool:
-        """DFS over the full edge set."""
-        stack, seen = [start], set()
-        while stack:
-            nid = stack.pop()
-            if nid == target:
-                return True
-            if nid in seen:
-                continue
-            seen.add(nid)
-            stack.extend(e.child for e in self._out[nid])
-        return False
-
     def _fill_yields(self) -> None:
-        """Every yield in one bottom-up pass.  Sibling yields in the primary
-        tree are disjoint, so a unit's yield is its children's joined and
-        sorted."""
-        yields = self._yields
+        """Every yield mask in one bottom-up pass: a terminal sets the bit of
+        its position, and a unit ORs its primary children's masks."""
+        yields, out = self._yields, self._out
         for nid in self._order:
-            node = self._nodes[nid]
-            if node.is_terminal:
-                yields[nid] = (node.position,)
+            if nid[0] == TERMINAL_LAYER:
+                yields[nid] = 1 << nid[1]
                 continue
-            joined = [
-                position
-                for e in self._out[nid]
-                if not e.remote
-                for position in yields[e.child]
-            ]
-            joined.sort()
-            yields[nid] = tuple(joined)
+            mask = 0
+            for _, child, _, remote in out[nid]:
+                if not remote:
+                    mask |= yields[child]
+            yields[nid] = mask
+
+
+def yield_positions(mask: int) -> tuple[int, ...]:
+    """The set bits of a yield mask, in increasing order.  Each turn takes
+    one run of consecutive bits: adding its lowest bit carries past its top."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        carried = mask + low
+        positions.extend(range(low.bit_length() - 1, (carried & -carried).bit_length() - 1))
+        mask &= carried
+    return tuple(positions)
 
 
 def build_passage(passage_id: str, tokens: Iterable[str]) -> Passage:

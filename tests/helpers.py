@@ -1,6 +1,7 @@
 """Shared test machinery: random passage generation, passage surgery, an
 independent brute-force reference scorer, and the replaced implementations
-kept as oracles (XML reader and writer, assembly, bi-lexical export).
+kept as oracles (tuple yields, XML reader and writer, assembly, bi-lexical
+export).
 
 The reference scorer deliberately avoids the library's yield cache and
 multiset matcher: it recomputes yields by plain recursion and finds the
@@ -69,10 +70,13 @@ def random_passage(
         p.add_edge(rng.choice(units), p.terminal_id(position), code)
     candidates = [n.id for n in p.nodes if n.id != p.root]
     for _ in range(rng.randint(0, max_remotes)):
+        parent, child, code = rng.choice(units), rng.choice(candidates), rng.choice(codes)
+        if reaches(p, child, parent):
+            continue  # a cycle, which freeze would refuse: just skip
         try:
-            p.add_edge(rng.choice(units), rng.choice(candidates), rng.choice(codes), remote=True)
+            p.add_edge(parent, child, code, remote=True)
         except GraphError:
-            pass  # cycle, duplicate, or punctuation target: just skip
+            pass  # duplicate or punctuation target: just skip
     return p.freeze()
 
 
@@ -115,6 +119,28 @@ def plain_yield(passage: Passage, node_id) -> frozenset[int]:
         if not edge.remote:
             out |= plain_yield(passage, edge.child)
     return out
+
+
+def reference_yields(passage: Passage) -> dict[NodeId, tuple[int, ...]]:
+    """The tuple-building yield pass that the integer masks replaced, kept
+    as their oracle: every yield in one bottom-up pass; sibling yields in
+    the primary tree are disjoint, so a unit's yield is its children's
+    joined and sorted."""
+    yields = {}
+    for nid in passage.bottom_up():
+        node = passage.node(nid)
+        if node.is_terminal:
+            yields[nid] = (node.position,)
+            continue
+        joined = [
+            position
+            for e in passage.outgoing(nid)
+            if not e.remote
+            for position in yields[e.child]
+        ]
+        joined.sort()
+        yields[nid] = tuple(joined)
+    return yields
 
 
 def reaches(passage: Passage, start, target) -> bool:

@@ -158,6 +158,24 @@ class TestEvaluate:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("system_tokens, difference", [
+        (["Hello", "there"], "token 2 is 'there' in the output, 'world' in the gold"),
+        (["Hello"], "output has 1 tokens, gold has 2"),
+    ], ids=["text", "count"])
+    def test_token_mismatch_names_both_files(self, capsys, tmp_path, system_tokens, difference):
+        paths = []
+        for name, tokens in (("gold", ["Hello", "world"]), ("system", system_tokens)):
+            p = build_passage("7", tokens)
+            for position in range(1, len(tokens) + 1):
+                p.add_edge(p.root, p.terminal_id(position), "A")
+            paths.append(tmp_path / f"{name}.xml")
+            paths[-1].write_bytes(serialize_xml(p.freeze()))
+        gold, system = paths
+        code, out, err = run(capsys, "evaluate", "--gold", str(gold), "--system", str(system))
+        assert code == cli.EXIT_TOKEN_MISMATCH
+        assert out == ""
+        assert err == f"{system} vs {gold}: passage 7: {difference}\n"
+
     def test_pairing_is_order_independent(self, capsys, corpus_dir, degraded_dir):
         _, first, _ = run(
             capsys,
@@ -200,6 +218,22 @@ class TestValidate:
         record = json.loads(out.splitlines()[0])
         assert record["rule"] == "V0"
 
+
+    @pytest.mark.parametrize("field_break", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+    def test_passage_id_with_field_break(self, capsys, tmp_path, field_break):
+        # A violation line is tab-separated, starting with the passage id.
+        passage_id = f"a{field_break}b"
+        p = build_passage(passage_id, ["x"])
+        p.add_edge(p.root, p.terminal_id(1), "T")
+        path = tmp_path / "broken.xml"
+        path.write_bytes(serialize_xml(p.freeze()))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert err == f"{path}: passage id holds a tab or a line break\n"
+        code, out, _ = run(capsys, "validate", str(path), "--json")
+        assert code == cli.EXIT_OK
+        assert [json.loads(line)["passage"] for line in out.splitlines()] == [passage_id]
 
     @pytest.mark.parametrize("closing_edge", sorted(CYCLIC_DOCUMENTS))
     def test_cyclic_document_names_file(self, capsys, tmp_path, closing_edge):

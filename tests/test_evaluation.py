@@ -24,6 +24,7 @@ from .helpers import (
     random_pair,
     random_passage,
     rebuild,
+    reference_yields,
     relabel,
 )
 
@@ -89,6 +90,18 @@ class TestEdgeSignatures:
         sigs = edge_signatures(remote_passage, include_punct=False)
         assert len(sigs) == 10
         assert not any(s.category == "U" for s in sigs)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.booleans(), st.booleans())
+    def test_against_tuple_yields(self, seed, max_tokens, labeled, include_punct):
+        p = random_passage(random.Random(seed), max_tokens=max_tokens,
+                           max_units=1 + max_tokens // 3, legacy_labels=True)
+        yields = reference_yields(p)
+        assert edge_signatures(p, labeled, include_punct) == [
+            EdgeSignature(yields[e.child], e.category.code if labeled else None, e.remote)
+            for e in p.edges
+            if yields[e.child] and (include_punct or e.category.code != "U")
+        ]
 
 
 class TestMatchCount:

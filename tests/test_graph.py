@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uccakit.errors import (
-    CycleDetected,
     DuplicateEdge,
     DuplicatePrimaryParent,
     GraphError,
@@ -22,7 +21,9 @@ from uccakit.formats import parse_xml, serialize_xml
 from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
 from uccakit.stats import corpus_stats
 
-from .helpers import PUNCT, random_passage, reference_assemble
+from uccakit.samples import implicit_sample, remote_sample
+
+from .helpers import PUNCT, deep_center_chain, random_passage, reference_assemble, reference_yields
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
@@ -173,13 +174,15 @@ class TestAddEdge:
         v = p.add_node(NodeKind.NON_TERMINAL)
         p.add_edge(p.root, u, "H")
         p.add_edge(u, v, "A")
-        with pytest.raises(CycleDetected):
-            p.add_edge(v, u, "A", remote=True)
+        p.add_edge(u, p.terminal_id(1), "P")
+        p.add_edge(v, u, "A", remote=True)
+        with pytest.raises(StructuralViolation) as exc:
+            p.freeze()
+        assert (exc.value.rule, exc.value.node_id) == ("acyclicity", u)
 
     def test_cycle_through_remote_edge_rejected(self):
-        # The child already has children and the parent already has a
-        # parent, so the reachability search must run, and it must follow
-        # the remote edge b -> a... -> b.
+        # Two remote edges close the cycle a -> b -> a between siblings that
+        # each have their own primary parent and children.
         p = build_passage("p", ["x", "y"])
         a = p.add_node(NodeKind.NON_TERMINAL)
         b = p.add_node(NodeKind.NON_TERMINAL)
@@ -188,8 +191,20 @@ class TestAddEdge:
         p.add_edge(a, p.terminal_id(1), "P")
         p.add_edge(b, p.terminal_id(2), "P")
         p.add_edge(a, b, "A", remote=True)
-        with pytest.raises(CycleDetected):
-            p.add_edge(b, a, "A", remote=True)
+        p.add_edge(b, a, "A", remote=True)
+        with pytest.raises(StructuralViolation) as exc:
+            p.freeze()
+        assert (exc.value.rule, exc.value.node_id) == ("acyclicity", a)
+
+    def test_remote_self_loop_rejected(self):
+        p = build_passage("p", ["x"])
+        u = p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(p.root, u, "H")
+        p.add_edge(u, p.terminal_id(1), "P")
+        p.add_edge(u, u, "A", remote=True)
+        with pytest.raises(StructuralViolation) as exc:
+            p.freeze()
+        assert (exc.value.rule, exc.value.node_id) == ("acyclicity", u)
 
     def test_exact_duplicate_rejected(self):
         p = build_passage("p", ["x", "y"])
@@ -234,8 +249,8 @@ class TestFreeze:
         assert exc.value.rule == "reachability"
 
     def test_acyclicity_backstop(self):
-        # add_edge already refuses cycles; corrupt the edge lists directly
-        # to exercise the freeze-time check.
+        # The cycle of test_cycle_rejected, written straight into the edge
+        # lists: freeze alone must catch it.
         p = build_passage("p", ["x"])
         u = p.add_node(NodeKind.NON_TERMINAL)
         v = p.add_node(NodeKind.NON_TERMINAL)
@@ -262,6 +277,37 @@ class TestFreeze:
             remote_passage.add_edge(
                 remote_passage.root, remote_passage.terminal_id(1), "A"
             )
+
+
+class TestYieldMasks:
+    """The masks, decoded, against the tuple-building pass they replaced."""
+
+    @staticmethod
+    def check(p: Passage) -> None:
+        reference = reference_yields(p)
+        masks = p.yield_masks()
+        assert masks.keys() == reference.keys()
+        for nid, positions in reference.items():
+            assert p.yield_of(nid) == positions
+            assert masks[nid] == sum(1 << k for k in positions)
+            contiguous = not positions or positions[-1] - positions[0] + 1 == len(positions)
+            assert p.is_discontinuous(nid) is not contiguous
+
+    # Up to 200 tokens, so masks span several of the interpreter's 30-bit digits.
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200))
+    def test_random(self, seed, max_tokens):
+        rng = random.Random(seed)
+        self.check(random_passage(rng, max_tokens=max_tokens, max_units=1 + max_tokens // 3,
+                                  legacy_labels=True))
+
+    @pytest.mark.parametrize("make", [remote_sample, implicit_sample, deep_center_chain])
+    def test_fixed(self, make):
+        self.check(make())
+
+    def test_unsealed_refused(self):
+        with pytest.raises(GraphError):
+            build_passage("p", ["x"]).yield_masks()
 
 
 class TestYield:
