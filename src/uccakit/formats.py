@@ -187,9 +187,9 @@ def serialize_xml(passage: Passage) -> bytes:
     lines += ("  </layer>", '  <layer layerID="1">')
     for unit in sorted((n for n in passage.nodes if not n.is_terminal), key=lambda n: n.id):
         body = ['      <attributes implicit="True" />'] if unit.kind is NodeKind.IMPLICIT else []
-        for e in passage.outgoing(unit.id):
-            edge = f'      <edge toID="{e.child}" type="{e.category.code}"'
-            if e.remote:
+        for _, child, category, remote in passage.outgoing(unit.id):
+            edge = f'      <edge toID="{child}" type="{category.code}"'
+            if remote:
                 body += (edge + ">", '        <attributes remote="True" />', "      </edge>")
             else:
                 body.append(edge + " />")
@@ -247,8 +247,9 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
             found[nid] = (node.position, node.position)
             continue
         # Sibling yields are disjoint, so no two headed children tie.
-        headed = [(_HEAD_RANK[e.category.code], found[e.child], e.category.code)
-                  for e in passage.outgoing(nid) if not e.remote and e.child in found]
+        headed = [(_HEAD_RANK[category.code], found[child], category.code)
+                  for _, child, category, remote in passage.outgoing(nid)
+                  if not remote and child in found]
         if not headed:
             continue
         _, (_, head), _ = min(headed)

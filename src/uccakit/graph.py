@@ -11,12 +11,18 @@ Sealing walks the whole edge set once, the only acyclicity check, and
 records a bottom-up node order; the first yield asked for fills the yields
 of all nodes at once, in that order, as integer masks with bit k set for
 token k, decoded to positions only where a yield leaves the library.
+
+Once every check has passed, sealing stores the edge tables as tuples.
+Accessors return tuples: ``terminals``, ``edges``, ``outgoing`` and
+``bottom_up`` hand out a sealed passage's own tables without copying, and
+``nodes``, ``incoming`` and the accessors of a passage being built, snapshots.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
+from itertools import count, repeat
 
 from .categories import Category, as_category
 from .errors import (
@@ -69,7 +75,10 @@ class NodeId(namedtuple("NodeId", "layer index")):
         layer, _, index = text.partition(".")
         if not (text.isascii() and layer.isdigit() and index.isdigit()):
             raise GraphError(f"malformed node id: {text!r}")
-        return cls(int(layer), int(index))
+        try:
+            return cls(int(layer), int(index))
+        except ValueError:  # more digits than int() converts
+            raise GraphError(f"malformed node id: {text[:12]}... ({len(text)} characters)") from None
 
 
 class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
@@ -110,19 +119,18 @@ class Passage:
         self.passage_id = passage_id
         self._sealed = False
         self._tokens = tokens
-        ids = [_new(NodeId, (TERMINAL_LAYER, position)) for position in range(1, len(tokens) + 1)]
-        self._terminals = [
-            _new(Node, (nid, NodeKind.TERMINAL, text, nid[1])) for nid, text in zip(ids, tokens)
-        ]
+        ids = list(map(_new, repeat(NodeId), zip(repeat(TERMINAL_LAYER), range(1, len(tokens) + 1))))
+        terminals = zip(ids, repeat(NodeKind.TERMINAL), tokens, count(1))
+        self._terminals: tuple[Node, ...] = tuple(map(_new, repeat(Node), terminals))
         self._nodes: dict[NodeId, Node] = dict(zip(ids, self._terminals))
-        self._edges: list[Edge] = []
+        self._edges: list[Edge] | tuple[Edge, ...] = []
         # A terminal has no children: one shared () stands for every list.
-        self._out: dict[NodeId, list[Edge] | tuple] = dict.fromkeys(ids, ())
+        self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
         self._in: dict[NodeId, list[Edge]] = {nid: [] for nid in ids}
         self._max_unit_index = 0
         # Set by freeze and filled all at once by _fill_yields; relabeled
         # copies share both.
-        self._order: list[NodeId] = []
+        self._order: tuple[NodeId, ...] = ()
         self._yields: dict[NodeId, int] = {}
         self.root = root_id or NodeId(UNIT_LAYER, 1)
         if self.root.layer != UNIT_LAYER:
@@ -186,8 +194,8 @@ class Passage:
             raise StructuralViolation("root-parent", root)
         for nid, parents in in_.items():
             # Nearly every node has one primary parent and nothing else.
-            if (len(parents) != 1 or parents[0].remote) and nid != root:
-                if sum(not e.remote for e in parents) != 1:
+            if (len(parents) != 1 or parents[0][3]) and nid != root:
+                if sum(not remote for _, _, _, remote in parents) != 1:
                     rule = "terminal-coverage" if nid[0] == TERMINAL_LAYER else "reachability"
                     raise StructuralViolation(rule, nid)
         # Kahn's walk over all edges: a node joins once all its parents,
@@ -196,15 +204,15 @@ class Passage:
         order = [root]
         for nid in order:
             for edge in out[nid]:
-                child = edge.child
+                child = edge[1]  # one field: an index reads faster than unpacking
                 pending[child] -= 1
                 if not pending[child]:
                     order.append(child)
         if len(order) != len(self._nodes):
             stuck = next(nid for nid in self._nodes if nid.layer == UNIT_LAYER and pending[nid])
             raise StructuralViolation("acyclicity", stuck)
-        self._order = order[::-1]
-        self._sealed = True
+        self._order = tuple(reversed(order))
+        self._seal()
         return self
 
     # -- access -----------------------------------------------------------
@@ -223,8 +231,8 @@ class Passage:
         return self._tokens
 
     @property
-    def terminals(self) -> list[Node]:
-        return list(self._terminals)
+    def terminals(self) -> tuple[Node, ...]:
+        return self._terminals
 
     def terminal_id(self, position: int) -> NodeId:
         """The NodeId of the terminal at a 1-based token position."""
@@ -233,17 +241,17 @@ class Passage:
         return self._terminals[position - 1].id
 
     @property
-    def nodes(self) -> list[Node]:
-        return list(self._nodes.values())
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(self._nodes.values())
 
     @property
     def non_terminals(self) -> list[Node]:
         return [n for n in self._nodes.values() if n.kind is NodeKind.NON_TERMINAL]
 
     @property
-    def edges(self) -> list[Edge]:
+    def edges(self) -> tuple[Edge, ...]:
         """All edges in insertion order."""
-        return list(self._edges)
+        return tuple(self._edges)
 
     def node(self, node_id: NodeId) -> Node:
         try:
@@ -251,13 +259,13 @@ class Passage:
         except KeyError:
             raise UnknownNode(f"no such node: {node_id}") from None
 
-    def outgoing(self, node_id: NodeId) -> list[Edge]:
+    def outgoing(self, node_id: NodeId) -> tuple[Edge, ...]:
         self.node(node_id)
-        return list(self._out[node_id])
+        return tuple(self._out[node_id])
 
-    def incoming(self, node_id: NodeId) -> list[Edge]:
+    def incoming(self, node_id: NodeId) -> tuple[Edge, ...]:
         self.node(node_id)
-        return list(self._in[node_id])
+        return tuple(self._in[node_id])
 
     # -- queries (sealed passages only) -----------------------------------
 
@@ -277,11 +285,11 @@ class Passage:
         """
         return yield_positions(self.yield_masks()[self.node(node_id).id])
 
-    def bottom_up(self) -> list[NodeId]:
-        """Every node id, each one after all of its children: a copy of the
-        order that freeze recorded."""
+    def bottom_up(self) -> tuple[NodeId, ...]:
+        """Every node id, each one after all of its children: the order
+        that freeze recorded."""
         self.require_sealed()
-        return list(self._order)
+        return self._order
 
     def relabeled(self, codes: Mapping[str, str]) -> "Passage":
         """A sealed copy whose edge categories are mapped through `codes`,
@@ -289,9 +297,9 @@ class Passage:
 
         Relabeling cannot change the primary tree, so the copy shares this
         passage's node table, bottom-up order and yields; only the edge
-        lists are new, linked without the checks that relabeling cannot
-        break.  A remote edge equal to one linked before it, which only the
-        mapping can make, is dropped.
+        tables are new, linked without the checks that relabeling cannot
+        break, and sealed as freeze seals them.  A remote edge equal to one
+        linked before it, which only the mapping can make, is dropped.
         """
         self.require_sealed()
         fresh = object.__new__(type(self))
@@ -301,15 +309,17 @@ class Passage:
         fresh._in = in_ = {nid: [] for nid in self._nodes}
         categories = {code: as_category(new) for code, new in codes.items()}
         for edge in self._edges:
-            category = categories.get(edge.category.code)
-            if category is not None:
-                edge = _new(Edge, (edge.parent, edge.child, category, edge.remote))
-            siblings = in_[edge.child]
-            if edge.remote and edge in siblings:
+            parent, child, category, remote = edge
+            mapped = categories.get(category.code)
+            if mapped is not None:
+                edge = _new(Edge, (parent, child, mapped, remote))
+            siblings = in_[child]
+            if remote and edge in siblings:
                 continue
             edges.append(edge)
-            out[edge.parent].append(edge)
+            out[parent].append(edge)
             siblings.append(edge)
+        fresh._seal()
         return fresh
 
     def is_discontinuous(self, node_id: NodeId) -> bool:
@@ -322,7 +332,7 @@ class Passage:
     def is_reentrant(self, node_id: NodeId) -> bool:
         """True iff the node has at least two incoming edges."""
         self.require_sealed()
-        return len(self.incoming(node_id)) >= 2
+        return len(self._in[self.node(node_id).id]) >= 2
 
     # -- comparison --------------------------------------------------------
 
@@ -352,6 +362,12 @@ class Passage:
         if self._sealed:
             raise SealedPassage(f"passage {self.passage_id} is sealed")
 
+    def _seal(self) -> None:
+        """Store the edge tables as tuples, once every check has passed."""
+        self._edges, out = tuple(self._edges), self._out
+        self._out = dict(zip(out, map(tuple, out.values())))
+        self._sealed = True
+
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
         """Register unattached layer-1 units, checking each one."""
         nodes, out, in_ = self._nodes, self._out, self._in
@@ -374,22 +390,21 @@ class Passage:
         """Append edges, each after every check that needs no graph search."""
         nodes, out, in_, append = self._nodes, self._out, self._in, self._edges.append
         for edge in edges:
-            parent, child = edge.parent, edge.child
+            parent, child, category, remote = edge
             try:
                 parent_node, child_node = nodes[parent], nodes[child]
             except KeyError as missing:
                 raise UnknownNode(f"no such node: {missing.args[0]}") from None
             if parent_node.kind is not NodeKind.NON_TERMINAL:
                 raise TerminalAsParent(f"{parent_node.kind.value} node {parent} cannot have children")
-            remote = edge.remote
             if remote and child_node.kind is NodeKind.TERMINAL and is_punctuation(child_node.text):
                 raise GraphError(f"remote edge may not point at punctuation terminal {child}")
             # A child has one primary parent and few remote ones: a short scan.
             siblings = in_[child]
             for e in siblings:
                 if e == edge:
-                    raise DuplicateEdge(f"duplicate edge {parent} -{edge.category}-> {child}")
-                if not (remote or e.remote):
+                    raise DuplicateEdge(f"duplicate edge {parent} -{category}-> {child}")
+                if not (remote or e[3]):
                     raise DuplicatePrimaryParent(f"{child} already has a primary parent")
             append(edge)
             out[parent].append(edge)

@@ -53,23 +53,19 @@ class StatsReport(Record):
 
     def add_passage(self, passage: Passage) -> None:
         passage.require_sealed()
+        units, nodes, edges = passage.non_terminals, passage.nodes, passage.edges
+        remote = sum(edge[3] for edge in edges)
         self.passages += 1
         self.tokens += len(passage.terminals)
-        self.non_root_nodes += len(passage.nodes) - 1
-        for unit in passage.non_terminals:
-            self.non_terminals += 1
-            if passage.is_discontinuous(unit.id):
-                self.discontinuous += 1
-        for node in passage.nodes:
-            if node.id != passage.root and passage.is_reentrant(node.id):
-                self.reentrant += 1
-        for edge in passage.edges:
-            self.edges += 1
-            if edge.remote:
-                self.remote += 1
-            else:
-                self.primary += 1
-            self.category_counts[edge.category.code] += 1
+        self.non_root_nodes += len(nodes) - 1
+        self.non_terminals += len(units)
+        self.discontinuous += sum(passage.is_discontinuous(unit.id) for unit in units)
+        # The root, the one node that is not counted, has no parent.
+        self.reentrant += sum(passage.is_reentrant(node.id) for node in nodes)
+        self.edges += len(edges)
+        self.remote += remote
+        self.primary += len(edges) - remote
+        self.category_counts.update(edge[2].code for edge in edges)
 
     def merge(self, other: "StatsReport") -> "StatsReport":
         return StatsReport(*map(add, self._values(), other._values()))

@@ -91,35 +91,30 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
         if rule in rules:
             report.violations.append(Violation(rule, str(ref), message))
 
-    def edge_ref(edge) -> str:
-        return f"{edge.parent}->{edge.child}"
-
-    for edge in passage.edges:
-        if edge.category.code in LEGACY:
-            flag("V0", edge_ref(edge), f"legacy label {edge.category.code}; run normalize first")
-        if edge.category.code not in ALL_CODES:
-            flag("V4", edge_ref(edge), f"category {edge.category.code} outside the inventory")
+    for parent, child, category, _ in passage.edges:
+        if category.code in LEGACY:
+            flag("V0", f"{parent}->{child}", f"legacy label {category.code}; run normalize first")
+        if category.code not in ALL_CODES:
+            flag("V4", f"{parent}->{child}", f"category {category.code} outside the inventory")
 
     for unit in passage.non_terminals:
-        out = passage.outgoing(unit.id)
-        main = [e for e in out if e.category.code in ("P", "S")]
+        codes = [edge[2].code for edge in passage.outgoing(unit.id)]
+        main = [code for code in codes if code in ("P", "S")]
         if not main:
             continue
         if len(main) > 1:
-            codes = "".join(e.category.code for e in main)
-            flag("V1", unit.id, f"multiple main relations ({codes}) in one Scene")
-        if not any(e.category.code == "A" for e in out):
+            flag("V1", unit.id, f"multiple main relations ({''.join(main)}) in one Scene")
+        if "A" not in codes:
             flag("V2", unit.id, "Scene without a Participant")
 
-    for edge in passage.edges:
-        if edge.remote:
+    for parent, child, category, remote in passage.edges:
+        if remote:
             continue
-        child = passage.node(edge.child)
-        punct = child.is_terminal and is_punctuation(child.text)
-        if punct and edge.category.code != PUNCT_CODE:
-            flag("V3", edge_ref(edge),
-                 f"punctuation token attached as {edge.category.code}, expected U")
-        if not punct and edge.category.code == PUNCT_CODE:
-            flag("V3", edge_ref(edge), "U edge points at a non-punctuation node")
+        node = passage.node(child)
+        punct = node.is_terminal and is_punctuation(node.text)
+        if punct and category.code != PUNCT_CODE:
+            flag("V3", f"{parent}->{child}", f"punctuation token attached as {category.code}, expected U")
+        if not punct and category.code == PUNCT_CODE:
+            flag("V3", f"{parent}->{child}", "U edge points at a non-punctuation node")
 
     return report

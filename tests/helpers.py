@@ -488,6 +488,8 @@ def _reference_freeze(passage: Passage) -> Passage:
         stuck = next(nid for nid in passage._nodes
                      if nid.layer == UNIT_LAYER and pending[nid])
         raise StructuralViolation("acyclicity", stuck)
-    passage._order = order[::-1]
+    passage._order = tuple(order[::-1])
+    passage._edges = tuple(passage._edges)
+    passage._out = {nid: tuple(children) for nid, children in passage._out.items()}
     passage._sealed = True
     return passage

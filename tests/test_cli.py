@@ -253,6 +253,30 @@ class TestValidate:
         assert "loose.xml" in err and "Traceback" not in err
 
 
+class TestOverlongNodeId:
+    """An id with more digits than int() converts is refused by name, like
+    any bad id, and not with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--gold", "{p}", "--system", "{p}"],
+            ["validate", "{p}"],
+            ["stats", "{p}"],
+            ["normalize", "{p}", "--out", "{out}"],
+            ["convert", "{p}", "--to", "bilexical", "--out", "{out}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_names_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "long.xml"
+        long_id = b'toID="0.' + b"1" * 5000 + b'"'
+        path.write_bytes(serialize_xml(remote_sample()).replace(b'toID="0.1"', long_id))
+        code, out, err = run(capsys, *(a.format(p=path, out=tmp_path / "out") for a in argv))
+        assert (code, out) == (2, "")
+        assert "long.xml" in err and "Traceback" not in err
+
+
 class TestNormalize:
     def test_writes_relabeled_files(self, capsys, tmp_path):
         src = tmp_path / "src"

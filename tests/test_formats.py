@@ -327,6 +327,20 @@ class TestNonCanonicalIds:
         with pytest.raises(UccaError):
             parse_xml(MINIMAL.replace(b'toID="0.1"', f'toID="{written}"'.encode()))
 
+    # Past int()'s limit of 4300 digits, these raised a bare ValueError.
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'ID="1.1"', b'ID="1.' + b"1" * 5000 + b'"'),
+            (b'toID="0.1"', b'toID="0.' + b"1" * 5000 + b'"'),
+            (b'toID="0.1"', b'toID="' + b"0" * 5000 + b'.1"'),
+        ],
+        ids=["unit-id", "to-id", "layer-part"],
+    )
+    def test_overlong_id_rejected(self, old, new):
+        with pytest.raises(UccaError, match=r"^(bad unit ID|malformed node id): "):
+            parse_xml(MINIMAL.replace(old, new))
+
 
 #: Text for tokens and passage ids: every character attribute escaping
 #: touches, non-ASCII text, DEL and a lone surrogate.

@@ -279,6 +279,48 @@ class TestFreeze:
             )
 
 
+class TestSealedTables:
+    """Sealing stores the tables as tuples, which the accessors hand out as
+    they are; while a passage is built, they hand out snapshots."""
+
+    def test_sealed_accessors_do_not_copy(self, remote_passage):
+        p = remote_passage
+        assert p.edges is p.edges
+        assert p.terminals is p.terminals
+        assert p.bottom_up() is p.bottom_up()
+        for node in p.nodes:
+            assert p.outgoing(node.id) is p.outgoing(node.id)
+        reentrant = next(n.id for n in p.nodes if p.is_reentrant(n.id))
+        for table in (p.terminals, p.nodes, p.edges, p.outgoing(p.root),
+                      p.incoming(reentrant), p.bottom_up()):
+            assert type(table) is tuple
+
+    def test_snapshots_while_building(self):
+        p = build_passage("p", ["x", "y"])
+        u = p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(p.root, u, "H")
+        x = p.terminal_id(1)
+        before = p.edges, p.nodes, p.outgoing(u), p.incoming(x)
+        assert all(type(table) is tuple for table in before)
+        p.add_node(NodeKind.IMPLICIT)
+        p.add_edge(u, x, "A")
+        p.add_edge(u, p.terminal_id(2), "C")
+        assert before == ((Edge(p.root, u, p.edges[0].category),), p.nodes[:4], (), ())
+        assert (len(p.edges), len(p.nodes), len(p.outgoing(u)), len(p.incoming(x))) == (3, 5, 2, 1)
+
+    def test_failed_freeze_leaves_tables_open(self):
+        p = build_passage("p", ["x"])
+        u = p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(u, p.terminal_id(1), "A")
+        with pytest.raises(StructuralViolation) as exc:
+            p.freeze()
+        assert exc.value.rule == "reachability"
+        p.add_edge(p.root, u, "H")  # the missing edge
+        p.freeze()
+        assert p.sealed and len(p.edges) == 2
+        assert p.outgoing(p.root) is p.outgoing(p.root)
+
+
 class TestYieldMasks:
     """The masks, decoded, against the tuple-building pass they replaced."""
 
@@ -536,7 +578,7 @@ class TestAssembleMatchesReference:
         p = random_passage(rng, max_tokens=12, max_units=8, max_remotes=3,
                            legacy_labels=legacy_labels)
         units = [(n.id, n.kind) for n in p.nodes if not n.is_terminal and n.id != p.root]
-        edges = p.edges
+        edges = list(p.edges)
         if rng.random() < 0.5:
             rng.shuffle(units)
             rng.shuffle(edges)
@@ -545,7 +587,7 @@ class TestAssembleMatchesReference:
         ours = assembled(Passage.assemble, p, units, edges)
         assert ours == assembled(reference_assemble, p, units, edges)
         if not defects:  # a listing order of the passage itself loads as it
-            assert ours[:2] == (p.passage_id, p.root) and ours[3] == edges
+            assert ours[:2] == (p.passage_id, p.root) and ours[3] == tuple(edges)
             assert sorted(ours[2]) == sorted(p.nodes)
 
     def test_every_defect_is_refused(self):
@@ -556,7 +598,7 @@ class TestAssembleMatchesReference:
             rng = random.Random(seed)
             p = random_passage(rng, tokens=["a", ",", "b", "c"], max_units=5, max_remotes=0)
             units = [(n.id, n.kind) for n in p.nodes if not n.is_terminal and n.id != p.root]
-            edges = p.edges
+            edges = list(p.edges)
             inject_defect(rng, p, units, edges)
             ours = assembled(Passage.assemble, p, units, edges)
             assert ours == assembled(reference_assemble, p, units, edges)

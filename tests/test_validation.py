@@ -24,6 +24,17 @@ def passage_with_labels(*codes):
     return p.freeze()
 
 
+def assert_tables_agree(p):
+    """Every edge of a sealed passage is listed once under its parent and
+    once under its child, and the tables hold no other edge."""
+    for edge in p.edges:
+        assert p.outgoing(edge.parent).count(edge) == 1
+        assert p.incoming(edge.child).count(edge) == 1
+    assert sum(len(p.outgoing(n.id)) for n in p.nodes) == len(p.edges)
+    assert sum(len(p.incoming(n.id)) for n in p.nodes) == len(p.edges)
+    assert p.edges is p.edges and type(p.outgoing(p.root)) is tuple
+
+
 class TestNormalize:
     def test_time_becomes_adverbial(self):
         p = normalize(passage_with_labels("T"))
@@ -55,6 +66,7 @@ class TestNormalize:
         remotes = [(e.parent, e.child, e.category.code) for e in p.edges if e.remote]
         assert remotes == [(raw.root, u, "D")]
         assert len(p.edges) == 4
+        assert_tables_agree(p)
 
     def test_fixed_point_returns_same_structure(self, remote_passage):
         assert normalize(remote_passage) == remote_passage
@@ -83,6 +95,11 @@ class TestNormalize:
         for node in p.nodes:
             assert q.yield_of(node.id) == p.yield_of(node.id)
 
+
+    @settings(max_examples=200)
+    @given(legacy_passages)
+    def test_sealed_tables_agree(self, p):
+        assert_tables_agree(normalize(p))
 
     @settings(max_examples=200)
     @given(legacy_passages)
