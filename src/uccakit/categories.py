@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .errors import UnknownCategory
+from .errors import UnknownCategory, shown
 
 #: The twelve foundational categories.
 FOUNDATIONAL = {
@@ -53,7 +53,7 @@ class Category(namedtuple("Category", "code longname")):
         try:
             return CATEGORIES[code]
         except KeyError:
-            raise UnknownCategory(f"unknown category code: {code!r}") from None
+            raise UnknownCategory(f"unknown category code: {shown(code)!r}") from None
 
     def is_legacy(self) -> bool:
         return self.code in LEGACY

@@ -99,20 +99,12 @@ def _cmd_evaluate(args) -> int:
             scores = scores.merge(evaluation.score_passage(out, ref, not args.exclude_punct))
         except TokenMismatch as exc:
             raise TokenMismatch(f"{system[stem]} vs {gold[stem]}: {exc}") from None
-    if _json_output(args):
-        payload = scores.to_dict()
-        if not args.fine_grained:
-            payload.pop("by_category")
-        if args.unlabeled:
-            payload.pop("labeled", None)
-            payload.pop("by_category", None)
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            evaluation.render_scores(
-                scores, fine_grained=args.fine_grained, unlabeled_only=args.unlabeled
-            )
-        )
+    payload = scores.to_dict()  # the sections both formats print
+    if args.unlabeled or not args.fine_grained:
+        del payload["by_category"]
+    if args.unlabeled:
+        del payload["labeled"]
+    print(json.dumps(payload, indent=2) if _json_output(args) else evaluation.render_scores(payload))
     return EXIT_OK
 
 

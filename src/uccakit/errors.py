@@ -1,5 +1,17 @@
 """Exception hierarchy shared across the package."""
 
+#: The longest input value that an error message repeats whole.
+SHOWN_MAX = 32
+
+
+def shown(value):
+    """An input value as an error message repeats it: as is, or if its text
+    is longer than SHOWN_MAX characters, the first 12 of them, "..." and its length."""
+    text = str(value)
+    if len(text) > SHOWN_MAX:
+        return f"{text[:12]}... ({len(text)} characters)"
+    return value
+
 
 class UccaError(Exception):
     """Base class for all errors raised by uccakit."""
@@ -40,10 +52,10 @@ class StructuralViolation(GraphError):
     node id.
     """
 
-    def __init__(self, rule: str, node_id, message: str | None = None):
+    def __init__(self, rule: str, node_id):
         self.rule = rule
         self.node_id = node_id
-        super().__init__(message or f"{rule}: node {node_id}")
+        super().__init__(f"{rule}: node {node_id}")
 
 
 class TokenMismatch(UccaError):

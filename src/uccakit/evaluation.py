@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from .categories import ALL_CODES, PUNCT_CODE, report_order
 from .errors import TokenMismatch
 from .graph import Passage, yield_positions
-from .records import Record
+from .records import Record, render_rows
 
 STRATA = ("all", "primary", "remote")
 
@@ -173,27 +173,21 @@ def score_corpus(
     return total
 
 
-def render_scores(
-    scores: EvalScores, fine_grained: bool = False, unlabeled_only: bool = False
-) -> str:
-    """Aligned score table; one row per stratum, optionally per category."""
-    header = f"{'stratum':<22}{'P':>8}{'R':>8}{'F1':>8}   matched/predicted/gold"
-    lines = [header]
+def render_scores(payload: dict) -> str:
+    """Aligned score table of the sections an EvalScores.to_dict() payload
+    holds: its strata, then one row per category if it holds ``by_category``."""
+    header = ["P", "R", "F1", "   matched/predicted/gold"]
 
-    def row(name: str, counts: Counts) -> str:
-        return (
-            f"{name:<22}{counts.precision:>8.3f}{counts.recall:>8.3f}{counts.f1:>8.3f}"
-            f"   {counts.matched}/{counts.predicted}/{counts.gold}"
-        )
+    def row(name: str, c: dict) -> tuple[str, list[str]]:
+        ratios = [f"{c[key]:.3f}" for key in ("precision", "recall", "f1")]
+        return name, [*ratios, f"   {c['matched']}/{c['predicted']}/{c['gold']}"]
 
-    if not unlabeled_only:
-        for stratum in STRATA:
-            lines.append(row(f"labeled/{stratum}", scores.labeled[stratum]))
-    for stratum in STRATA:
-        lines.append(row(f"unlabeled/{stratum}", scores.unlabeled[stratum]))
-    if fine_grained and not unlabeled_only:
-        lines.append("")
-        lines.append(f"{'category':<22}{'P':>8}{'R':>8}{'F1':>8}   matched/predicted/gold")
-        for code in report_order(scores.by_category):
-            lines.append(row(ALL_CODES.get(code, code), scores.by_category[code]))
-    return "\n".join(lines)
+    rows = [("stratum", header)]
+    for section in ("labeled", "unlabeled"):
+        if section in payload:
+            rows += [row(f"{section}/{s}", payload[section][s]) for s in STRATA]
+    if "by_category" in payload:
+        categories = payload["by_category"]
+        rows += [("", []), ("category", header)]
+        rows += [row(ALL_CODES.get(code, code), categories[code]) for code in report_order(categories)]
+    return render_rows([22, 8, 8, 8, 0], rows)

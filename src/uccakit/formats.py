@@ -44,7 +44,7 @@ from collections import namedtuple
 from xml.parsers.expat import ExpatError, ParserCreate
 
 from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category
-from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax
+from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax, shown
 from .graph import Edge, NodeId, NodeKind, Passage, is_punctuation
 
 # -- XML ------------------------------------------------------------------
@@ -61,7 +61,7 @@ def parse_xml(document: bytes | str) -> Passage:
     for layer in root[2]:
         layer_id = layer[0].get("layerID")
         if layer_id in layers:
-            raise XmlFormatError(f"repeated layerID {layer_id!r}")
+            raise XmlFormatError(f"repeated layerID {shown(layer_id)!r}")
         layers[layer_id] = layer[2]
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
@@ -70,7 +70,7 @@ def parse_xml(document: bytes | str) -> Passage:
     for position, (attrs, attributes, _, _) in enumerate(layers["0"], start=1):
         nid = attrs.get("ID", "")
         if nid != f"0.{position}":
-            raise XmlFormatError(f"terminal {position} has ID {nid!r}, expected 0.{position}")
+            raise XmlFormatError(f"terminal {position} has ID {shown(nid)!r}, expected 0.{position}")
         if attributes is None or "text" not in attributes:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
         tokens.append(attributes["text"])
@@ -83,17 +83,17 @@ def parse_xml(document: bytes | str) -> Passage:
         try:
             nid = NodeId.parse(attrs.get("ID", ""))
         except GraphError:
-            raise XmlFormatError(f"bad unit ID: {attrs.get('ID')!r}") from None
+            raise XmlFormatError(f"bad unit ID: {shown(attrs.get('ID'))!r}") from None
         text = str(nid)
         if text in ids:
-            raise XmlFormatError(f"duplicate unit ID: {text}")
+            raise XmlFormatError(f"duplicate unit ID: {shown(text)}")
         ids[text] = nid
         implicit = attributes is not None and attributes.get("implicit") == "True"
         units.append((nid, NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL))
         for attrs, attributes, _, _ in edges:
             to_id, code = attrs.get("toID"), attrs.get("type")
             if to_id is None or code is None:
-                raise XmlFormatError(f"edge under {nid} lacks toID or type")
+                raise XmlFormatError(f"edge under {shown(nid)} lacks toID or type")
             remote = attributes is not None and attributes.get("remote") == "True"
             written.append((nid, to_id, code, remote))
 
@@ -104,7 +104,7 @@ def parse_xml(document: bytes | str) -> Passage:
         # A toID not written as str(NodeId) is parsed, then looked up.
         child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
         if child is None:
-            raise DanglingReference(f"edge toID={to_id} is not a declared node")
+            raise DanglingReference(f"edge toID={shown(to_id)} is not a declared node")
         category = CATEGORIES[code] if code in CATEGORIES else Category.from_code(code)
         edges.append(new(Edge, (nid, child, category, remote)))
 
@@ -114,7 +114,7 @@ def parse_xml(document: bytes | str) -> Passage:
         raise XmlFormatError(f"expected exactly one root unit, found {len(roots)}")
     (root_id, root_kind), = roots
     if root_kind is NodeKind.IMPLICIT:
-        raise XmlFormatError(f"root unit {root_id} is marked implicit")
+        raise XmlFormatError(f"root unit {shown(root_id)} is marked implicit")
     others = [unit for unit in units if unit[0] != root_id]
     return Passage.assemble(passage_id, tokens, root_id, others, edges)
 

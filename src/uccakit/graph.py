@@ -20,11 +20,11 @@ Accessors return tuples: ``terminals``, ``edges``, ``outgoing`` and
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from enum import Enum
 from itertools import count, repeat
 
-from .categories import Category, as_category
+from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category, as_category
 from .errors import (
     DuplicateEdge,
     DuplicatePrimaryParent,
@@ -33,6 +33,7 @@ from .errors import (
     StructuralViolation,
     TerminalAsParent,
     UnknownNode,
+    shown,
 )
 
 TERMINAL_LAYER = 0
@@ -73,12 +74,12 @@ class NodeId(namedtuple("NodeId", "layer index")):
     def parse(cls, text: str) -> "NodeId":
         """Read "layer.index": ASCII digits only, leading zeros allowed."""
         layer, _, index = text.partition(".")
-        if not (text.isascii() and layer.isdigit() and index.isdigit()):
-            raise GraphError(f"malformed node id: {text!r}")
-        try:
-            return cls(int(layer), int(index))
-        except ValueError:  # more digits than int() converts
-            raise GraphError(f"malformed node id: {text[:12]}... ({len(text)} characters)") from None
+        if text.isascii() and layer.isdigit() and index.isdigit():
+            try:
+                return cls(int(layer), int(index))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise GraphError(f"malformed node id: {shown(text)!r}")
 
 
 class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
@@ -93,6 +94,9 @@ class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
 
 Edge = namedtuple("Edge", "parent child category remote", defaults=(False,))
 
+
+#: Legacy code -> the registered category that relabeled puts in its place.
+_REPLACEMENTS = {code: CATEGORIES[new] for code, new in LEGACY_REPLACEMENT.items()}
 
 #: A tuple record from checked fields, without NodeId's or a namedtuple's Python __new__.
 _new = tuple.__new__
@@ -291,15 +295,15 @@ class Passage:
         self.require_sealed()
         return self._order
 
-    def relabeled(self, codes: Mapping[str, str]) -> "Passage":
-        """A sealed copy whose edge categories are mapped through `codes`,
-        every code of which must name a category.
+    def relabeled(self) -> "Passage":
+        """A sealed copy whose legacy T/Q edges carry the categories that
+        LEGACY_REPLACEMENT names.
 
         Relabeling cannot change the primary tree, so the copy shares this
         passage's node table, bottom-up order and yields; only the edge
         tables are new, linked without the checks that relabeling cannot
         break, and sealed as freeze seals them.  A remote edge equal to one
-        linked before it, which only the mapping can make, is dropped.
+        linked before it, which only relabeling can make, is dropped.
         """
         self.require_sealed()
         fresh = object.__new__(type(self))
@@ -307,10 +311,9 @@ class Passage:
         fresh._edges = edges = []
         fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in self._nodes}
         fresh._in = in_ = {nid: [] for nid in self._nodes}
-        categories = {code: as_category(new) for code, new in codes.items()}
         for edge in self._edges:
             parent, child, category, remote = edge
-            mapped = categories.get(category.code)
+            mapped = _REPLACEMENTS.get(category.code)
             if mapped is not None:
                 edge = _new(Edge, (parent, child, mapped, remote))
             siblings = in_[child]

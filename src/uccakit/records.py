@@ -1,4 +1,4 @@
-"""The base of the ``__slots__`` record classes."""
+"""The base of the ``__slots__`` record classes, and the aligned table both reports print."""
 
 
 class Record:
@@ -17,3 +17,14 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+def render_rows(widths: list[int], rows: list[tuple[str, list[str]]]) -> str:
+    """Rows of (label, cells) as lines: the label left-aligned in the first
+    width, each cell right-aligned in the next; a row with no cells is its label alone."""
+    label_width, *cell_widths = widths
+    return "\n".join(
+        f"{label:<{label_width}}" + "".join(f"{cell:>{w}}" for cell, w in zip(cells, cell_widths))
+        if cells else label
+        for label, cells in rows
+    )

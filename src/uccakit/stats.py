@@ -7,7 +7,7 @@ from operator import add
 
 from .categories import ALL_CODES, report_order
 from .graph import Passage
-from .records import Record
+from .records import Record, render_rows
 
 
 class StatsReport(Record):
@@ -112,16 +112,10 @@ def render_table(reports: StatsReport | Mapping[str, StatsReport]) -> str:
         (f"  % {ALL_CODES.get(code, code)}", [_cell(share.get(code, 0.0)) for share in shares])
         for code in report_order(set().union(*shares))
     ]
-    rows = head + by_category
-    label_width = max(len(label) for label, _ in rows)
-    widths = [max(10, *map(len, column)) for column in zip(*(cells for _, cells in rows))]
-    lines = [
-        f"{label:<{label_width}}" + "".join(f"  {cell:>{w}}" for cell, w in zip(cells, widths))
-        for label, cells in rows
-    ]
-    if by_category:
-        lines.insert(len(head), "by category")
-    return "\n".join(lines)
+    rows = head + [("by category", [])] + by_category if by_category else head
+    widths = [max(len(label) for label, _ in rows)]
+    widths += [2 + max(10, *map(len, column)) for column in zip(*(cells for _, cells in rows if cells))]
+    return render_rows(widths, rows)
 
 
 def _cell(value: int | float) -> str:

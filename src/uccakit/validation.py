@@ -11,7 +11,7 @@ import json
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .categories import ALL_CODES, LEGACY, LEGACY_REPLACEMENT, PUNCT_CODE
+from .categories import ALL_CODES, LEGACY, PUNCT_CODE
 from .graph import Passage, is_punctuation
 from .records import Record
 
@@ -78,7 +78,7 @@ def normalize(passage: Passage) -> Passage:
     passage.freeze()
     if not any(e.category.is_legacy() for e in passage.edges):
         return passage
-    return passage.relabeled(LEGACY_REPLACEMENT)
+    return passage.relabeled()
 
 
 def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport:

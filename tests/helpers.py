@@ -21,6 +21,7 @@ from uccakit.errors import (
     TerminalAsParent,
     XmlFormatError,
     XmlSyntax,
+    shown,
 )
 from uccakit.formats import HEAD_PRIORITY, ROOT_DEPREL, BilexicalRow
 from uccakit.graph import (
@@ -361,7 +362,7 @@ def reference_parse_xml(document: bytes | str) -> Passage:
     for layer in root.findall("layer"):
         layer_id = layer.attrib.get("layerID")
         if layer_id in layers:
-            raise XmlFormatError(f"repeated layerID {layer_id!r}")
+            raise XmlFormatError(f"repeated layerID {shown(layer_id)!r}")
         layers[layer_id] = layer
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
@@ -370,7 +371,7 @@ def reference_parse_xml(document: bytes | str) -> Passage:
     for position, node in enumerate(layers["0"].findall("node"), start=1):
         nid = node.attrib.get("ID", "")
         if nid != f"0.{position}":
-            raise XmlFormatError(f"terminal {position} has ID {nid!r}, expected 0.{position}")
+            raise XmlFormatError(f"terminal {position} has ID {shown(nid)!r}, expected 0.{position}")
         attributes = node.find("attributes")
         if attributes is None or "text" not in attributes.attrib:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
@@ -383,9 +384,9 @@ def reference_parse_xml(document: bytes | str) -> Passage:
         try:
             nid = NodeId.parse(node.attrib.get("ID", ""))
         except GraphError:
-            raise XmlFormatError(f"bad unit ID: {node.attrib.get('ID')!r}") from None
+            raise XmlFormatError(f"bad unit ID: {shown(node.attrib.get('ID'))!r}") from None
         if str(nid) in ids:
-            raise XmlFormatError(f"duplicate unit ID: {nid}")
+            raise XmlFormatError(f"duplicate unit ID: {shown(nid)}")
         ids[str(nid)] = nid
         attributes = node.find("attributes")
         implicit = attributes is not None and attributes.attrib.get("implicit") == "True"
@@ -394,7 +395,7 @@ def reference_parse_xml(document: bytes | str) -> Passage:
             to_id = edge.attrib.get("toID")
             code = edge.attrib.get("type")
             if to_id is None or code is None:
-                raise XmlFormatError(f"edge under {nid} lacks toID or type")
+                raise XmlFormatError(f"edge under {shown(nid)} lacks toID or type")
             edge_attrs = edge.find("attributes")
             remote = edge_attrs is not None and edge_attrs.attrib.get("remote") == "True"
             written.append((nid, to_id, code, remote))
@@ -405,7 +406,7 @@ def reference_parse_xml(document: bytes | str) -> Passage:
         # A toID not written as str(NodeId) is parsed, then looked up.
         child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
         if child is None:
-            raise DanglingReference(f"edge toID={to_id} is not a declared node")
+            raise DanglingReference(f"edge toID={shown(to_id)} is not a declared node")
         edges.append(Edge(nid, child, Category.from_code(code), remote))
 
     referenced = {edge.child for edge in edges}
@@ -414,7 +415,7 @@ def reference_parse_xml(document: bytes | str) -> Passage:
         raise XmlFormatError(f"expected exactly one root unit, found {len(roots)}")
     (root_id, root_kind), = roots
     if root_kind is NodeKind.IMPLICIT:
-        raise XmlFormatError(f"root unit {root_id} is marked implicit")
+        raise XmlFormatError(f"root unit {shown(root_id)} is marked implicit")
     others = [unit for unit in units if unit[0] != root_id]
     return reference_assemble(passage_id, tokens, root_id, others, edges)
 

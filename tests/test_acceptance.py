@@ -143,7 +143,7 @@ def test_round_trip():
 def test_report_layout_snapshot():
     gold = remote_sample()
     output = rebuild(gold, lambda e: None if e.remote else e)
-    table = render_scores(score_passage(output, gold), fine_grained=True)
+    table = render_scores(score_passage(output, gold).to_dict())
     expected = """\
 stratum                      P       R      F1   matched/predicted/gold
 labeled/all              1.000   0.909   0.952   10/10/11

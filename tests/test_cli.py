@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uccakit import cli, stats
 from uccakit.formats import parse_xml, serialize_xml
@@ -12,7 +19,7 @@ from uccakit.graph import build_passage
 from uccakit.samples import implicit_sample, remote_sample
 from uccakit.validation import normalize
 
-from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, rebuild, relabel
+from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, random_passage, rebuild, relabel
 
 
 @pytest.fixture
@@ -275,6 +282,13 @@ class TestOverlongNodeId:
         code, out, err = run(capsys, *(a.format(p=path, out=tmp_path / "out") for a in argv))
         assert (code, out) == (2, "")
         assert "long.xml" in err and "Traceback" not in err
+
+    def test_long_category_shortened(self, capsys, tmp_path):
+        path = tmp_path / "long.xml"
+        path.write_bytes(serialize_xml(remote_sample()).replace(b'type="L"', b'type="' + b"L" * 4000 + b'"'))
+        code, out, err = run(capsys, "stats", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}: unknown category code: 'LLLLLLLLLLLL... (4000 characters)'\n"
 
 
 class TestNormalize:
@@ -585,3 +599,88 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+
+
+# -- the whole CLI over corrupted corpora ----------------------------------
+
+#: Valid documents that the fuzzed corpora start from; the random passage has
+#: legacy labels, so normalize rewrites it, and the chain is deeper than the
+#: recursion limit.
+FUZZ_SOURCES = [
+    serialize_xml(remote_sample()),
+    serialize_xml(implicit_sample()),
+    serialize_xml(random_passage(random.Random(7), max_tokens=12, legacy_labels=True)),
+    serialize_xml(deep_center_chain()),
+]
+
+#: "intact" twice: a corpus that parses reaches the exit-0 checks more often.
+MUTATIONS = ["intact", "intact", "flip", "truncate", "remove", "duplicate", "swap"]
+
+
+def mutate(document: bytes, kind: str, rng: random.Random) -> bytes:
+    """One seeded corruption: serialize_xml writes each element tag on a line
+    of its own, so removing or duplicating a line does so to an element or a tag."""
+    lines = document.split(b"\n")
+    if kind == "flip":
+        k = rng.randrange(len(document))
+        return document[:k] + bytes([document[k] ^ 1 << rng.randrange(8)]) + document[k + 1:]
+    if kind == "truncate":
+        return document[: rng.randrange(len(document))]
+    if kind == "remove":
+        del lines[rng.randrange(len(lines))]
+    elif kind == "duplicate":
+        k = rng.randrange(len(lines))
+        lines.insert(k, lines[k])
+    elif kind == "swap":
+        (a, b), (c, d) = sorted(rng.sample([m.span(1) for m in re.finditer(rb'toID="([^"]*)"', document)], 2))
+        return document[:a] + document[c:d] + document[b:c] + document[a:b] + document[d:]
+    return b"\n".join(lines)
+
+
+#: Each subcommand with the exit codes that cli's docstring allows it.
+FUZZ_COMMANDS = [
+    (["evaluate", "--gold", "{gold}", "--system", "{system}", "--fine-grained"], {0, 2, 3}),
+    (["validate", "{system}"], {0, 2}),
+    (["validate", "{system}", "--json", "--strict"], {0, 2, 4}),
+    (["stats", "{gold}", "{system}"], {0, 2}),
+    (["normalize", "{system}", "--out", "{out}/normalize"], {0, 2}),
+    (["convert", "{system}", "--to", "bilexical", "--out", "{out}/bilexical"], {0, 2}),
+    (["convert", "{system}", "--to", "text", "--out", "{out}/text"], {0, 2}),
+]
+
+corrupt_files = st.tuples(
+    st.sampled_from(range(len(FUZZ_SOURCES))),
+    st.sampled_from(MUTATIONS), st.sampled_from(MUTATIONS),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(corrupt_files, min_size=1, max_size=2))
+    def test_every_exit_is_documented(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            gold, system, out = Path(tmp, "gold"), Path(tmp, "system"), Path(tmp, "out")
+            gold.mkdir()
+            system.mkdir()
+            paths = [gold, system]
+            for k, (source, gold_kind, system_kind, seed) in enumerate(files):
+                rng = random.Random(seed)
+                for directory, kind in ((gold, gold_kind), (system, system_kind)):
+                    path = directory / f"p{k}.xml"
+                    path.write_bytes(mutate(FUZZ_SOURCES[source], kind, rng))
+                    paths.append(path)
+            for template, allowed in FUZZ_COMMANDS:
+                argv = [a.format(gold=gold, system=system, out=out) for a in template]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+                err = stderr.getvalue()
+                assert code in allowed, (argv, code, err)
+                assert "Traceback" not in err
+                if code in (cli.EXIT_PARSE, cli.EXIT_TOKEN_MISMATCH):
+                    assert any(err.startswith((f"{p}:", f"{p} vs ")) for p in paths), err
+                if argv[0] == "normalize" and code == cli.EXIT_OK:
+                    for path in sorted(system.glob("*.xml")):
+                        written = parse_xml((out / "normalize" / path.name).read_bytes())
+                        assert written == normalize(parse_xml(path.read_bytes()))

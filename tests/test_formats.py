@@ -52,6 +52,10 @@ MINIMAL = b"""<?xml version='1.0' encoding='utf-8'?>
 </root>
 """
 
+#: Two more layers with one 4000-digit layerID, and a unit with a 4000-character ID.
+LONG_LAYERS = b'<layer layerID="%s"/><layer layerID="%s"/><layer layerID="1">' % ((b"1" * 4000,) * 2)
+LONG_UNIT = b'<node ID="1.%s" type="FN"/>' % (b"1" * 3998)
+
 
 class TestParseXml:
     def test_golden_remote(self, data_dir, remote_passage):
@@ -340,6 +344,39 @@ class TestNonCanonicalIds:
     def test_overlong_id_rejected(self, old, new):
         with pytest.raises(UccaError, match=r"^(bad unit ID|malformed node id): "):
             parse_xml(MINIMAL.replace(old, new))
+
+    # Each message repeated its value whole: 4000 digits gave 4000 characters.
+    @pytest.mark.parametrize(
+        "old, new, start",
+        [
+            (b'ID="1.1"', b'ID="1.' + b"1" * 5000 + b'"', "bad unit ID: '1.1111111111... (5002"),
+            (b'ID="0.1"', b'ID="0.' + b"1" * 4000 + b'"', "terminal 1 has ID '0.1111111111... (4002"),
+            (b'<layer layerID="1">', LONG_LAYERS, "repeated layerID '1111111111"),
+            (b'type="H"', b'type="' + b"1" * 4000 + b'"', "unknown category code: '1111111111"),
+            (b'toID="0.1"', b'toID="1.' + b"1" * 3998 + b'"', "edge toID=1.1111111111... (4000"),
+            (b"</layer>\n</root>", LONG_UNIT * 2 + b"</layer></root>", "duplicate unit ID: 1.1111111111"),
+            (b"</layer>\n</root>", LONG_UNIT.replace(b"/>", b"><edge/></node>") + b"</layer></root>",
+             "edge under 1.1111111111"),
+            (b'ID="1.1" type="FN">', b'ID="1.' + b"1" * 3998 + b'" type="FN"><attributes implicit="True"/>',
+             "root unit 1.1111111111"),
+        ],
+        ids=["unit-id", "terminal-id", "layer-id", "category", "to-id", "duplicate-unit",
+             "edge-under", "implicit-root"],
+    )
+    def test_long_value_shortened(self, old, new, start):
+        document = MINIMAL.replace(old, new)
+        with pytest.raises(UccaError) as raised:
+            parse_xml(document)
+        message = str(raised.value)
+        assert message.startswith(start) and len(message) < 100
+        with pytest.raises(type(raised.value), match=f"^{re.escape(message)}$"):
+            reference_parse_xml(document)
+
+    def test_short_value_repeated_whole(self):
+        with pytest.raises(XmlFormatError, match=r"^bad unit ID: '1\.x'$"):
+            parse_xml(MINIMAL.replace(b'ID="1.1"', b'ID="1.x"'))
+        with pytest.raises(UnknownCategory, match=r"^unknown category code: 'Zz'$"):
+            parse_xml(MINIMAL.replace(b'type="H"', b'type="Zz"'))
 
 
 #: Text for tokens and passage ids: every character attribute escaping

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uccakit.categories import LEGACY_REPLACEMENT
-from uccakit.graph import NodeKind, build_passage
+from uccakit.categories import LEGACY_REPLACEMENT, Category
+from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
 from uccakit.samples import implicit_sample, remote_sample
 from uccakit.validation import RULES, RuleSet, normalize, validate
 
@@ -231,6 +231,14 @@ class TestValidate:
         p.add_edge(p.root, p.terminal_id(1), "U")
         report = validate(p.freeze())
         assert [v.rule for v in report.violations] == ["V3"]
+
+    def test_unregistered_category_fires_v4(self):
+        # add_edge and parse_xml refuse an unknown code before a passage
+        # exists; only assemble takes an Edge holding any Category.
+        root, word = NodeId(1, 1), NodeId(0, 1)
+        p = Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category("Z", "Zeta"))])
+        report = validate(p)
+        assert [(v.rule, v.ref) for v in report.violations] == [("V4", "1.1->0.1")]
 
     def test_disabled_rules_stay_silent(self):
         report = validate(passage_with_labels("T"), RuleSet(frozenset({"V3"})))
