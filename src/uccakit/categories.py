@@ -34,7 +34,7 @@ LEGACY_REPLACEMENT = {"T": "D", "Q": "E"}
 ALL_CODES: dict[str, str] = {**FOUNDATIONAL, PUNCT_CODE: "Punctuation", **LEGACY}
 
 #: Fixed ordering used by fine-grained score and statistics reports.
-REPORT_ORDER = ["P", "S", "A", "D", "C", "E", "N", "R", "H", "L", "G", "F", "U"]
+REPORT_ORDER = [*FOUNDATIONAL, PUNCT_CODE]
 
 
 def report_order(codes: Iterable[str]) -> list[str]:

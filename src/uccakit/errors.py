@@ -49,13 +49,13 @@ class StructuralViolation(GraphError):
     """A passage-level invariant failed at sealing time.
 
     Carries the identifier of the first failed invariant and the offending
-    node id.
+    node id, which the message shortens.
     """
 
     def __init__(self, rule: str, node_id):
         self.rule = rule
         self.node_id = node_id
-        super().__init__(f"{rule}: node {node_id}")
+        super().__init__(f"{rule}: node {shown(node_id)}")
 
 
 class TokenMismatch(UccaError):

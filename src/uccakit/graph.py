@@ -16,6 +16,8 @@ Once every check has passed, sealing stores the edge tables as tuples.
 Accessors return tuples: ``terminals``, ``edges``, ``outgoing`` and
 ``bottom_up`` hand out a sealed passage's own tables without copying, and
 ``nodes``, ``incoming`` and the accessors of a passage being built, snapshots.
+A passage keeps no table of incoming edges per node, only the set of nodes
+that have their one primary parent: ``incoming`` filters the edge tuple.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ class NodeId(namedtuple("NodeId", "layer index")):
 
     def __new__(cls, layer: int, index: int) -> "NodeId":
         if layer < 0 or index < 1:
-            raise GraphError(f"bad node id: {layer}.{index}")
+            raise GraphError(f"bad node id: {shown(f'{layer}.{index}')}")
         return tuple.__new__(cls, (layer, index))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -130,7 +132,7 @@ class Passage:
         self._edges: list[Edge] | tuple[Edge, ...] = []
         # A terminal has no children: one shared () stands for every list.
         self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
-        self._in: dict[NodeId, list[Edge]] = {nid: [] for nid in ids}
+        self._has_parent: set[NodeId] = set()  # the child of every primary edge
         self._max_unit_index = 0
         # Set by freeze and filled all at once by _fill_yields; relabeled
         # copies share both.
@@ -138,7 +140,7 @@ class Passage:
         self._yields: dict[NodeId, int] = {}
         self.root = root_id or NodeId(UNIT_LAYER, 1)
         if self.root.layer != UNIT_LAYER:
-            raise GraphError(f"root must live in layer {UNIT_LAYER}: {self.root}")
+            raise GraphError(f"root must live in layer {UNIT_LAYER}: {shown(self.root)}")
         self._add_units([(self.root, NodeKind.NON_TERMINAL)])
 
     # -- construction -----------------------------------------------------
@@ -193,18 +195,16 @@ class Passage:
         """
         if self._sealed:
             return self
-        root, in_, out = self.root, self._in, self._out
-        if in_[root]:
+        root, nodes, has_parent, out = self.root, self._nodes, self._has_parent, self._out
+        pending = Counter(edge[1] for edge in self._edges)  # each node's number of parents
+        if pending[root]:
             raise StructuralViolation("root-parent", root)
-        for nid, parents in in_.items():
-            # Nearly every node has one primary parent and nothing else.
-            if (len(parents) != 1 or parents[0][3]) and nid != root:
-                if sum(not remote for _, _, _, remote in parents) != 1:
-                    rule = "terminal-coverage" if nid[0] == TERMINAL_LAYER else "reachability"
-                    raise StructuralViolation(rule, nid)
+        if len(has_parent) != len(nodes) - 1:  # _link gave each node one primary parent at most
+            nid = next(nid for nid in nodes if nid != root and nid not in has_parent)
+            rule = "terminal-coverage" if nid[0] == TERMINAL_LAYER else "reachability"
+            raise StructuralViolation(rule, nid)
         # Kahn's walk over all edges: a node joins once all its parents,
         # primary and remote, have.  A node left out lies on or below a cycle.
-        pending = dict(zip(in_, map(len, in_.values())))
         order = [root]
         for nid in order:
             for edge in out[nid]:
@@ -212,8 +212,8 @@ class Passage:
                 pending[child] -= 1
                 if not pending[child]:
                     order.append(child)
-        if len(order) != len(self._nodes):
-            stuck = next(nid for nid in self._nodes if nid.layer == UNIT_LAYER and pending[nid])
+        if len(order) != len(nodes):
+            stuck = next(nid for nid in nodes if nid.layer == UNIT_LAYER and pending[nid])
             raise StructuralViolation("acyclicity", stuck)
         self._order = tuple(reversed(order))
         self._seal()
@@ -261,7 +261,7 @@ class Passage:
         try:
             return self._nodes[node_id]
         except KeyError:
-            raise UnknownNode(f"no such node: {node_id}") from None
+            raise UnknownNode(f"no such node: {shown(node_id)}") from None
 
     def outgoing(self, node_id: NodeId) -> tuple[Edge, ...]:
         self.node(node_id)
@@ -269,7 +269,7 @@ class Passage:
 
     def incoming(self, node_id: NodeId) -> tuple[Edge, ...]:
         self.node(node_id)
-        return tuple(self._in[node_id])
+        return tuple(edge for edge in self._edges if edge[1] == node_id)
 
     # -- queries (sealed passages only) -----------------------------------
 
@@ -300,8 +300,8 @@ class Passage:
         LEGACY_REPLACEMENT names.
 
         Relabeling cannot change the primary tree, so the copy shares this
-        passage's node table, bottom-up order and yields; only the edge
-        tables are new, linked without the checks that relabeling cannot
+        passage's nodes, parented set, bottom-up order and yields; only the
+        edge tables are new, linked without the checks that relabeling cannot
         break, and sealed as freeze seals them.  A remote edge equal to one
         linked before it, which only relabeling can make, is dropped.
         """
@@ -310,18 +310,16 @@ class Passage:
         fresh.__dict__.update(self.__dict__)  # copy.copy, without importing copy
         fresh._edges = edges = []
         fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in self._nodes}
-        fresh._in = in_ = {nid: [] for nid in self._nodes}
         for edge in self._edges:
             parent, child, category, remote = edge
             mapped = _REPLACEMENTS.get(category.code)
             if mapped is not None:
                 edge = _new(Edge, (parent, child, mapped, remote))
-            siblings = in_[child]
-            if remote and edge in siblings:
+            children = out[parent]
+            if remote and edge in children:
                 continue
             edges.append(edge)
-            out[parent].append(edge)
-            siblings.append(edge)
+            children.append(edge)
         fresh._seal()
         return fresh
 
@@ -333,9 +331,10 @@ class Passage:
         return (mask + (mask & -mask)) & mask != 0
 
     def is_reentrant(self, node_id: NodeId) -> bool:
-        """True iff the node has at least two incoming edges."""
+        """True iff the node has at least two incoming edges, that is, iff a remote
+        edge points at it: the root has no parent and every other node one primary."""
         self.require_sealed()
-        return len(self._in[self.node(node_id).id]) >= 2
+        return self.node(node_id).id in {edge[1] for edge in self._edges if edge[3]}
 
     # -- comparison --------------------------------------------------------
 
@@ -373,45 +372,44 @@ class Passage:
 
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
         """Register unattached layer-1 units, checking each one."""
-        nodes, out, in_ = self._nodes, self._out, self._in
+        nodes, out = self._nodes, self._out
         top = self._max_unit_index
         for node_id, kind in units:
             if kind is NodeKind.TERMINAL:
                 raise GraphError("terminals are fixed by the token sequence")
             if node_id in nodes:
-                raise GraphError(f"node id already taken: {node_id}")
+                raise GraphError(f"node id already taken: {shown(node_id)}")
             if node_id[0] != UNIT_LAYER:
-                raise GraphError(f"units must live in layer {UNIT_LAYER}: {node_id}")
+                raise GraphError(f"units must live in layer {UNIT_LAYER}: {shown(node_id)}")
             nodes[node_id] = _new(Node, (node_id, kind, None, None))
             out[node_id] = []
-            in_[node_id] = []
             if node_id[1] > top:
                 top = node_id[1]
         self._max_unit_index = top
 
     def _link(self, edges: Iterable[Edge]) -> None:
         """Append edges, each after every check that needs no graph search."""
-        nodes, out, in_, append = self._nodes, self._out, self._in, self._edges.append
+        nodes, out, has_parent, append = self._nodes, self._out, self._has_parent, self._edges.append
         for edge in edges:
             parent, child, category, remote = edge
             try:
                 parent_node, child_node = nodes[parent], nodes[child]
             except KeyError as missing:
-                raise UnknownNode(f"no such node: {missing.args[0]}") from None
+                raise UnknownNode(f"no such node: {shown(missing.args[0])}") from None
             if parent_node.kind is not NodeKind.NON_TERMINAL:
-                raise TerminalAsParent(f"{parent_node.kind.value} node {parent} cannot have children")
+                raise TerminalAsParent(f"{parent_node.kind.value} node {shown(parent)} cannot have children")
             if remote and child_node.kind is NodeKind.TERMINAL and is_punctuation(child_node.text):
-                raise GraphError(f"remote edge may not point at punctuation terminal {child}")
-            # A child has one primary parent and few remote ones: a short scan.
-            siblings = in_[child]
-            for e in siblings:
-                if e == edge:
-                    raise DuplicateEdge(f"duplicate edge {parent} -{category}-> {child}")
-                if not (remote or e[3]):
-                    raise DuplicatePrimaryParent(f"{child} already has a primary parent")
+                raise GraphError(f"remote edge may not point at punctuation terminal {shown(child)}")
+            # An equal edge shares the parent; an equal primary one also marked the child.
+            children = out[parent]
+            if (remote or child in has_parent) and edge in children:
+                raise DuplicateEdge(f"duplicate edge {shown(parent)} -{category}-> {shown(child)}")
+            if not remote:
+                if child in has_parent:
+                    raise DuplicatePrimaryParent(f"{shown(child)} already has a primary parent")
+                has_parent.add(child)
             append(edge)
-            out[parent].append(edge)
-            siblings.append(edge)
+            children.append(edge)
 
     def _fill_yields(self) -> None:
         """Every yield mask in one bottom-up pass: a terminal sets the bit of

@@ -60,8 +60,8 @@ class StatsReport(Record):
         self.non_root_nodes += len(nodes) - 1
         self.non_terminals += len(units)
         self.discontinuous += sum(passage.is_discontinuous(unit.id) for unit in units)
-        # The root, the one node that is not counted, has no parent.
-        self.reentrant += sum(passage.is_reentrant(node.id) for node in nodes)
+        # A node is reentrant iff a remote edge points at it (Passage.is_reentrant).
+        self.reentrant += len({edge[1] for edge in edges if edge[3]})
         self.edges += len(edges)
         self.remote += remote
         self.primary += len(edges) - remote

@@ -423,62 +423,67 @@ def reference_parse_xml(document: bytes | str) -> Passage:
 # -- reference assembly ---------------------------------------------------
 
 
-def reference_assemble(passage_id, tokens, root_id, units, edges) -> Passage:
+def reference_assemble(passage_id, tokens, root_id, units, edges, incoming=None) -> Passage:
     """The assembly that Passage.assemble's bulk loops replaced, kept as
     their oracle: add_node's checks and registration once per unit, _link's
-    checks once per edge, then the freeze loop that listed each node's
-    primary parents.  Like Passage.assemble it runs no cycle search."""
+    checks once per edge against each node's list of incoming edges, then
+    the freeze loop that listed each node's primary parents.  Like
+    Passage.assemble it runs no cycle search.  If `incoming` is given, it
+    receives those lists: each node's incoming edges in the order linked."""
     passage = Passage(passage_id, tokens, root_id=root_id)
+    in_ = {nid: [] for nid in passage._nodes}
     for node_id, kind in units:
-        _reference_add_node(passage, kind, node_id)
+        _reference_add_node(passage, in_, kind, node_id)
     for edge in edges:
-        _reference_link(passage, edge)
-    return _reference_freeze(passage)
+        _reference_link(passage, in_, edge)
+    if incoming is not None:
+        incoming.update(in_)
+    return _reference_freeze(passage, in_)
 
 
-def _reference_add_node(passage: Passage, kind: NodeKind, node_id: NodeId) -> None:
+def _reference_add_node(passage: Passage, in_: dict, kind: NodeKind, node_id: NodeId) -> None:
     if kind is NodeKind.TERMINAL:
         raise GraphError("terminals are fixed by the token sequence")
     if node_id in passage._nodes:
-        raise GraphError(f"node id already taken: {node_id}")
+        raise GraphError(f"node id already taken: {shown(node_id)}")
     if node_id.layer != UNIT_LAYER:
-        raise GraphError(f"units must live in layer {UNIT_LAYER}: {node_id}")
+        raise GraphError(f"units must live in layer {UNIT_LAYER}: {shown(node_id)}")
     passage._nodes[node_id] = Node(node_id, kind)
     passage._out.setdefault(node_id, [])
-    passage._in.setdefault(node_id, [])
+    in_.setdefault(node_id, [])
     passage._max_unit_index = max(passage._max_unit_index, node_id.index)
 
 
-def _reference_link(passage: Passage, edge: Edge) -> None:
+def _reference_link(passage: Passage, in_: dict, edge: Edge) -> None:
     parent, child = edge.parent, edge.child
     parent_node, child_node = passage.node(parent), passage.node(child)
     if parent_node.kind is not NodeKind.NON_TERMINAL:
         raise TerminalAsParent(
-            f"{parent_node.kind.value} node {parent} cannot have children"
+            f"{parent_node.kind.value} node {shown(parent)} cannot have children"
         )
     if edge.remote and child_node.is_terminal and is_punctuation(child_node.text):
-        raise GraphError(f"remote edge may not point at punctuation terminal {child}")
-    for e in passage._in[child]:
+        raise GraphError(f"remote edge may not point at punctuation terminal {shown(child)}")
+    for e in in_[child]:
         if e == edge:
-            raise DuplicateEdge(f"duplicate edge {parent} -{edge.category}-> {child}")
+            raise DuplicateEdge(f"duplicate edge {shown(parent)} -{edge.category}-> {shown(child)}")
         if not (edge.remote or e.remote):
-            raise DuplicatePrimaryParent(f"{child} already has a primary parent")
+            raise DuplicatePrimaryParent(f"{shown(child)} already has a primary parent")
     passage._edges.append(edge)
     passage._out[parent].append(edge)
-    passage._in[child].append(edge)
+    in_[child].append(edge)
 
 
-def _reference_freeze(passage: Passage) -> Passage:
-    if passage._in[passage.root]:
+def _reference_freeze(passage: Passage, in_: dict) -> Passage:
+    if in_[passage.root]:
         raise StructuralViolation("root-parent", passage.root)
     for node in passage._nodes.values():
         if node.id == passage.root:
             continue
-        primaries = [e for e in passage._in[node.id] if not e.remote]
+        primaries = [e for e in in_[node.id] if not e.remote]
         if len(primaries) != 1:
             rule = "terminal-coverage" if node.is_terminal else "reachability"
             raise StructuralViolation(rule, node.id)
-    pending = {nid: len(parents) for nid, parents in passage._in.items()}
+    pending = {nid: len(parents) for nid, parents in in_.items()}
     order = [passage.root]
     for nid in order:
         for edge in passage._out[nid]:

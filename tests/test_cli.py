@@ -290,6 +290,15 @@ class TestOverlongNodeId:
         assert (code, out) == (2, "")
         assert err == f"{path}: unknown category code: 'LLLLLLLLLLLL... (4000 characters)'\n"
 
+    def test_long_node_id_shortened(self, capsys, tmp_path):
+        # The implicit unit 1.4, renamed to a 4000-digit id and given a child.
+        path = tmp_path / "long.xml"
+        document = serialize_xml(implicit_sample()).replace(b'"1.4"', b'"1.' + b"7" * 4000 + b'"')
+        path.write_bytes(document.replace(b'implicit="True" />', b'implicit="True" /><edge toID="0.1" type="E" />'))
+        code, out, err = run(capsys, "stats", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}: implicit node 1.7777777777... (4002 characters) cannot have children\n"
+
 
 class TestNormalize:
     def test_writes_relabeled_files(self, capsys, tmp_path):

@@ -359,9 +359,10 @@ class TestNonCanonicalIds:
              "edge under 1.1111111111"),
             (b'ID="1.1" type="FN">', b'ID="1.' + b"1" * 3998 + b'" type="FN"><attributes implicit="True"/>',
              "root unit 1.1111111111"),
+            (b'toID="0.1"', b'toID="' + b"1" * 4000 + b'.0"', "bad node id: 111111111111... (4002"),
         ],
         ids=["unit-id", "terminal-id", "layer-id", "category", "to-id", "duplicate-unit",
-             "edge-under", "implicit-root"],
+             "edge-under", "implicit-root", "bad-node-id"],
     )
     def test_long_value_shortened(self, old, new, start):
         document = MINIMAL.replace(old, new)

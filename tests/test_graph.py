@@ -1,10 +1,11 @@
 import copy
 import pickle
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uccakit.errors import (
@@ -15,15 +16,24 @@ from uccakit.errors import (
     StructuralViolation,
     TerminalAsParent,
     UnknownNode,
+    shown,
 )
 from uccakit.evaluation import score_passage
 from uccakit.formats import parse_xml, serialize_xml
 from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
 from uccakit.stats import corpus_stats
+from uccakit.validation import normalize
 
 from uccakit.samples import implicit_sample, remote_sample
 
-from .helpers import PUNCT, deep_center_chain, random_passage, reference_assemble, reference_yields
+from .helpers import (
+    PUNCT,
+    deep_center_chain,
+    random_passage,
+    reference_assemble,
+    reference_parse_xml,
+    reference_yields,
+)
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
@@ -260,7 +270,6 @@ class TestFreeze:
         rogue = Edge(v, u, p.edges[0].category, True)
         p._edges.append(rogue)
         p._out[v].append(rogue)
-        p._in[u].append(rogue)
         with pytest.raises(StructuralViolation) as exc:
             p.freeze()
         assert exc.value.rule == "acyclicity"
@@ -277,6 +286,64 @@ class TestFreeze:
             remote_passage.add_edge(
                 remote_passage.root, remote_passage.terminal_id(1), "A"
             )
+
+
+#: Layer-1 units of a one-token document, each holding the id {u}, and the
+#: message that parse_xml refuses them with.
+LONG_ID_CASES = {
+    "implicit-parent": (
+        '<node ID="1.1" type="FN"><edge toID="0.1" type="H"/><edge toID="{u}" type="A"/></node>'
+        '<node ID="{u}" type="FN"><attributes implicit="True"/><edge toID="0.1" type="A"/></node>',
+        "1.", "implicit node {u} cannot have children"),
+    "duplicate-edge": (
+        '<node ID="1.1" type="FN"><edge toID="{u}" type="H"/></node>'
+        '<node ID="{u}" type="FN"><edge toID="0.1" type="A"/><edge toID="0.1" type="A"/></node>',
+        "1.", "duplicate edge {u} -A-> 0.1"),
+    "second-primary-parent": (
+        '<node ID="1.1" type="FN"><edge toID="{u}" type="H"/><edge toID="{u}" type="A"/></node>'
+        '<node ID="{u}" type="FN"><edge toID="0.1" type="A"/></node>',
+        "1.", "{u} already has a primary parent"),
+    "unit-in-layer-0": (
+        '<node ID="1.1" type="FN"><edge toID="0.1" type="H"/><edge toID="{u}" type="A"/></node>'
+        '<node ID="{u}" type="FN"/>',
+        "0.", "units must live in layer 1: {u}"),
+    "root-in-layer-0": (
+        '<node ID="{u}" type="FN"><edge toID="0.1" type="H"/></node>',
+        "0.", "root must live in layer 1: {u}"),
+    "reachability": (
+        '<node ID="1.1" type="FN"><edge toID="0.1" type="H"/>'
+        '<edge toID="{u}" type="A"><attributes remote="True"/></edge></node>'
+        '<node ID="{u}" type="FN"/>',
+        "1.", "reachability: node {u}"),
+    "acyclicity": (
+        '<node ID="1.1" type="FN"><edge toID="{u}" type="H"/></node>'
+        '<node ID="{u}" type="FN"><edge toID="0.1" type="A"/><edge toID="1.2" type="A"/></node>'
+        '<node ID="1.2" type="FN"><edge toID="{u}" type="A"><attributes remote="True"/></edge></node>',
+        "1.", "acyclicity: node {u}"),
+}
+
+
+class TestLongIdShortened:
+    """graph.py's messages shorten a node id as the reader's own messages do
+    (errors.shown), and repeat a short one whole."""
+
+    @pytest.mark.parametrize("units, layer, message", LONG_ID_CASES.values(), ids=list(LONG_ID_CASES))
+    @pytest.mark.parametrize("digits", [1, 4000], ids=["short", "long"])
+    def test_message(self, units, layer, message, digits):
+        node_id = layer + "7" * digits
+        document = ('<root passageID="long"><layer layerID="0"><node ID="0.1" type="Word">'
+                    '<attributes text="hi"/></node></layer><layer layerID="1">'
+                    f'{units.format(u=node_id)}</layer></root>').encode()
+        with pytest.raises(GraphError) as raised:
+            parse_xml(document)
+        assert str(raised.value) == message.format(u=shown(node_id))
+        if digits > 1:
+            assert len(str(raised.value)) < 100
+            assert f"{node_id[:12]}... ({len(node_id)} characters)" in str(raised.value)
+        if isinstance(raised.value, StructuralViolation):
+            assert str(raised.value.node_id) == node_id
+        with pytest.raises(type(raised.value), match=f"^{re.escape(str(raised.value))}$"):
+            reference_parse_xml(document)
 
 
 class TestSealedTables:
@@ -471,6 +538,28 @@ class TestReentrancy:
     def test_matches_indegree(self, p):
         for node in p.nodes:
             assert p.is_reentrant(node.id) == (len(p.incoming(node.id)) >= 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    @example(86, True, True)  # seeds whose normalize drops a remote edge, as about
+    @example(127, True, True)  # one draw in 65 with remotes and legacy labels does
+    def test_derived_reads_match_reference_lists(self, seed, remotes, legacy_labels):
+        # incoming, is_reentrant and the reentrancy count all read the edge
+        # tuple; the reference assembly keeps a list of incoming edges per node.
+        p = random_passage(random.Random(seed), max_units=4, max_remotes=6 if remotes else 0,
+                           legacy_labels=legacy_labels)
+        q = normalize(p)
+        for passage in (p, q) if len(q.edges) < len(p.edges) else (p,):
+            lists = {}
+            units = [(n.id, n.kind) for n in passage.nodes if not n.is_terminal and n.id != passage.root]
+            reference_assemble(passage.passage_id, passage.tokens, passage.root, units,
+                               passage.edges, lists)
+            assert list(lists) == [n.id for n in passage.nodes]
+            for nid, incoming in lists.items():
+                assert passage.incoming(nid) == tuple(incoming)
+                assert passage.is_reentrant(nid) == (len(incoming) >= 2)
+            reentrant = sum(len(incoming) >= 2 for incoming in lists.values())
+            assert corpus_stats([passage]).reentrant == reentrant
 
 
 @settings(max_examples=200)
