@@ -17,14 +17,13 @@ validation violations under --strict.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import evaluation, formats, stats, validation
+# Every command parses; each handler imports the modules only it runs.
+from . import formats
 from .errors import TokenMismatch, UccaError
-from .graph import Passage
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +58,7 @@ def _xml_files(path: Path) -> list[Path]:
     return files
 
 
-def _load(path: Path) -> Passage:
+def _load(path: Path) -> formats.Passage:
     if not path.is_file():  # a directory's *.xml entry may be a FIFO, a device or a directory
         raise _ParseFailure(path, "is not a regular file")
     try:
@@ -74,7 +73,15 @@ def _json_output(args) -> bool:
     return os.environ.get(FORMAT_ENV_VAR, "").lower() == "json"
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _cmd_evaluate(args) -> int:
+    from . import evaluation, validation
+
     gold_path, system_path = Path(args.gold), Path(args.system)
     if gold_path.is_file() and system_path.is_file():  # a pair whatever the stems
         gold, system = {"": gold_path}, {"": system_path}
@@ -104,11 +111,16 @@ def _cmd_evaluate(args) -> int:
         del payload["by_category"]
     if args.unlabeled:
         del payload["labeled"]
-    print(json.dumps(payload, indent=2) if _json_output(args) else evaluation.render_scores(payload))
+    if _json_output(args):
+        _print_json(payload)
+    else:
+        print(evaluation.render_scores(payload))
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
+    from . import validation
+
     violations = 0
     for path in _xml_files(Path(args.input)):
         passage = _load(path)
@@ -128,6 +140,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from . import validation
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in _xml_files(Path(args.input)):
@@ -137,6 +151,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import stats
+
     for k, name in enumerate(args.input):  # columns are keyed by path
         if name in args.input[:k]:
             print(f"{name}: given more than once", file=sys.stderr)
@@ -148,8 +164,7 @@ def _cmd_stats(args) -> int:
     # One input keeps the single-corpus layout: one unnamed column, one flat object.
     single = reports[args.input[0]] if len(args.input) == 1 else None
     if _json_output(args):
-        payload = single.to_dict() if single else {k: r.to_dict() for k, r in reports.items()}
-        print(json.dumps(payload, indent=2))
+        _print_json(single.to_dict() if single else {k: r.to_dict() for k, r in reports.items()})
     else:
         print(stats.render_table(single or reports))
     return EXIT_OK

@@ -13,11 +13,12 @@ of all nodes at once, in that order, as integer masks with bit k set for
 token k, decoded to positions only where a yield leaves the library.
 
 Once every check has passed, sealing stores the edge tables as tuples.
-Accessors return tuples: ``terminals``, ``edges``, ``outgoing`` and
-``bottom_up`` hand out a sealed passage's own tables without copying, and
-``nodes``, ``incoming`` and the accessors of a passage being built, snapshots.
-A passage keeps no table of incoming edges per node, only the set of nodes
-that have their one primary parent: ``incoming`` filters the edge tuple.
+Accessors return tuples: ``terminals``, ``edges``, ``outgoing``,
+``bottom_up`` and ``incoming`` hand out a sealed passage's own tables
+without copying, and ``nodes`` and the accessors of a passage being built,
+snapshots.  While a passage is built it keeps no table of incoming edges
+per node, only the set of nodes that have their one primary parent; the
+first ``incoming`` or ``is_reentrant`` on a sealed passage builds that table.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .errors import (
     SealedPassage,
     StructuralViolation,
     TerminalAsParent,
+    UnknownCategory,
     UnknownNode,
     shown,
 )
@@ -100,6 +102,9 @@ Edge = namedtuple("Edge", "parent child category remote", defaults=(False,))
 #: Legacy code -> the registered category that relabeled puts in its place.
 _REPLACEMENTS = {code: CATEGORIES[new] for code, new in LEGACY_REPLACEMENT.items()}
 
+#: The categories an edge may carry; a Category equal to one of them is it.
+_REGISTERED = frozenset(CATEGORIES.values())
+
 #: A tuple record from checked fields, without NodeId's or a namedtuple's Python __new__.
 _new = tuple.__new__
 
@@ -138,6 +143,8 @@ class Passage:
         # copies share both.
         self._order: tuple[NodeId, ...] = ()
         self._yields: dict[NodeId, int] = {}
+        # Each node's incoming edges, filled on a sealed passage's first ask.
+        self._in: dict[NodeId, tuple[Edge, ...]] = {}
         self.root = root_id or NodeId(UNIT_LAYER, 1)
         if self.root.layer != UNIT_LAYER:
             raise GraphError(f"root must live in layer {UNIT_LAYER}: {shown(self.root)}")
@@ -268,8 +275,11 @@ class Passage:
         return tuple(self._out[node_id])
 
     def incoming(self, node_id: NodeId) -> tuple[Edge, ...]:
-        self.node(node_id)
-        return tuple(edge for edge in self._edges if edge[1] == node_id)
+        """The edges into a node, in edge order."""
+        nid = self.node(node_id).id
+        if not self._sealed:
+            return tuple(edge for edge in self._edges if edge[1] == nid)
+        return self._incoming_table()[nid]
 
     # -- queries (sealed passages only) -----------------------------------
 
@@ -309,6 +319,7 @@ class Passage:
         fresh = object.__new__(type(self))
         fresh.__dict__.update(self.__dict__)  # copy.copy, without importing copy
         fresh._edges = edges = []
+        fresh._in = {}  # its edges are not this passage's
         fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in self._nodes}
         for edge in self._edges:
             parent, child, category, remote = edge
@@ -334,7 +345,7 @@ class Passage:
         """True iff the node has at least two incoming edges, that is, iff a remote
         edge points at it: the root has no parent and every other node one primary."""
         self.require_sealed()
-        return self.node(node_id).id in {edge[1] for edge in self._edges if edge[3]}
+        return len(self._incoming_table()[self.node(node_id).id]) > 1
 
     # -- comparison --------------------------------------------------------
 
@@ -370,6 +381,16 @@ class Passage:
         self._out = dict(zip(out, map(tuple, out.values())))
         self._sealed = True
 
+    def _incoming_table(self) -> dict[NodeId, tuple[Edge, ...]]:
+        """Each node's incoming edges in edge order, built by the first call
+        on a sealed passage from one pass over the edge tuple."""
+        if not self._in:
+            table = {nid: [] for nid in self._nodes}
+            for edge in self._edges:
+                table[edge[1]].append(edge)
+            self._in = dict(zip(table, map(tuple, table.values())))
+        return self._in
+
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
         """Register unattached layer-1 units, checking each one."""
         nodes, out = self._nodes, self._out
@@ -388,10 +409,14 @@ class Passage:
         self._max_unit_index = top
 
     def _link(self, edges: Iterable[Edge]) -> None:
-        """Append edges, each after every check that needs no graph search."""
+        """Append edges, each after every check that needs no graph search.
+        A category must be the registered one of its code, so that the
+        passage serializes to XML that parse_xml reads back."""
         nodes, out, has_parent, append = self._nodes, self._out, self._has_parent, self._edges.append
         for edge in edges:
             parent, child, category, remote = edge
+            if category not in _REGISTERED:
+                raise UnknownCategory(f"unregistered category: {shown(category)!r}")
             try:
                 parent_node, child_node = nodes[parent], nodes[child]
             except KeyError as missing:

@@ -7,11 +7,10 @@ errors, so third-party outputs remain scorable.
 """
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .categories import ALL_CODES, LEGACY, PUNCT_CODE
+from .categories import LEGACY, PUNCT_CODE
 from .graph import Passage, is_punctuation
 from .records import Record
 
@@ -22,6 +21,8 @@ RULES = {
     "V3": "punctuation terminals attach via U, and U attaches only punctuation",
     "V4": "all categories belong to the inventory",
 }
+# V4 holds of every sealed passage: Passage._link refuses an unregistered
+# category, so validate has no check of its own for it.
 
 
 class RuleSet(namedtuple("RuleSet", "enabled")):
@@ -59,6 +60,8 @@ class ValidationReport(Record):
 
     def to_json_lines(self) -> str:
         """One JSON object per violation: {passage, rule, ref, message}."""
+        import json
+
         return "\n".join(
             json.dumps(
                 {"passage": self.passage_id, "rule": v.rule, "ref": v.ref, "message": v.message}
@@ -94,8 +97,6 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
     for parent, child, category, _ in passage.edges:
         if category.code in LEGACY:
             flag("V0", f"{parent}->{child}", f"legacy label {category.code}; run normalize first")
-        if category.code not in ALL_CODES:
-            flag("V4", f"{parent}->{child}", f"category {category.code} outside the inventory")
 
     for unit in passage.non_terminals:
         codes = [edge[2].code for edge in passage.outgoing(unit.id)]

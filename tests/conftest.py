@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from uccakit.samples import implicit_sample, remote_sample
+from .samples import implicit_sample, remote_sample
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 
-from uccakit.categories import FOUNDATIONAL, LEGACY_REPLACEMENT, Category
+from uccakit.categories import CATEGORIES, FOUNDATIONAL, LEGACY_REPLACEMENT, Category
 from uccakit.errors import (
     DanglingReference,
     DuplicateEdge,
     DuplicatePrimaryParent,
     StructuralViolation,
     TerminalAsParent,
+    UnknownCategory,
     XmlFormatError,
     XmlSyntax,
     shown,
@@ -455,6 +456,8 @@ def _reference_add_node(passage: Passage, in_: dict, kind: NodeKind, node_id: No
 
 
 def _reference_link(passage: Passage, in_: dict, edge: Edge) -> None:
+    if CATEGORIES.get(edge.category.code) != edge.category:
+        raise UnknownCategory(f"unregistered category: {shown(edge.category)!r}")
     parent, child = edge.parent, edge.child
     parent_node, child_node = passage.node(parent), passage.node(child)
     if parent_node.kind is not NodeKind.NON_TERMINAL:

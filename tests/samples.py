@@ -6,7 +6,7 @@ units.
 """
 from __future__ import annotations
 
-from .graph import NodeKind, Passage, build_passage
+from uccakit.graph import NodeKind, Passage, build_passage
 
 
 def remote_sample() -> Passage:

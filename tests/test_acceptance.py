@@ -15,11 +15,11 @@ import pytest
 from uccakit.evaluation import STRATA, render_scores, score_passage
 from uccakit.formats import parse_xml, serialize_xml
 from uccakit.graph import NodeId
-from uccakit.samples import implicit_sample, remote_sample
 from uccakit.stats import corpus_stats
 from uccakit.validation import normalize
 
 from .helpers import counts_triple, oracle_scores, random_pair, random_passage, rebuild
+from .samples import implicit_sample, remote_sample
 
 #: Directory of normalized English-Wiki passage XML files (all splits).
 WIKI_ENV = "UCCAKIT_WIKI_DIR"

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from uccakit import cli, stats
 from uccakit.formats import parse_xml, serialize_xml
 from uccakit.graph import build_passage
-from uccakit.samples import implicit_sample, remote_sample
 from uccakit.validation import normalize
 
 from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, random_passage, rebuild, relabel
+from .samples import implicit_sample, remote_sample
 
 
 @pytest.fixture
@@ -579,24 +579,66 @@ class TestClosedOutput:
         assert result.returncode == cli.EXIT_USAGE
 
 
+#: The modules that importing the CLI loads, and that every command parses with.
+CLI_MODULES = {"uccakit", "uccakit.cli", "uccakit.formats", "uccakit.graph",
+               "uccakit.categories", "uccakit.errors"}
+
+#: The uccakit modules each subcommand loads beyond CLI_MODULES.
+COMMAND_MODULES = {
+    "evaluate": {"uccakit.evaluation", "uccakit.validation", "uccakit.records"},
+    "validate": {"uccakit.validation", "uccakit.records"},
+    "normalize": {"uccakit.validation", "uccakit.records"},
+    "stats": {"uccakit.stats", "uccakit.records"},
+    "convert": set(),
+}
+
+
+def loaded_modules(probe: str, *argv: str) -> set[str]:
+    """The modules a fresh `-S` interpreter holds after running `probe`,
+    which writes them to stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
+
+
 class TestImportCost:
-    def test_cli_loads_no_dataclasses_or_elementtree(self):
+    """A process without cached bytecode compiles every module it imports,
+    so a command loads only the modules it runs."""
+
+    def assert_lean(self, loaded: set[str]) -> None:
         # dataclasses imports inspect, and with it ast, dis and tokenize:
         # about 25 ms more start-up for every command.
-        src = str(Path(cli.__file__).parents[1])
-        probe = "import uccakit.cli, sys; print(' '.join(sys.modules))"
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", probe],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        loaded = set(result.stdout.split())
-        assert "uccakit.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
         assert not [name for name in loaded if name == "xml.etree" or name.startswith("xml.etree.")]
+
+    def test_cli_loads_no_dataclasses_or_elementtree(self):
+        loaded = loaded_modules("import uccakit.cli, sys; sys.stderr.write(' '.join(sys.modules))")
+        self.assert_lean(loaded)
+        assert {name for name in loaded if name.startswith("uccakit")} == CLI_MODULES
+        assert "json" not in loaded
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    def test_subcommand_loads_only_its_modules(self, command, corpus_dir, tmp_path):
+        argv = {
+            "evaluate": ["--gold", str(corpus_dir), "--system", str(corpus_dir)],
+            "validate": [str(corpus_dir)],
+            "normalize": [str(corpus_dir), "--out", str(tmp_path / "out")],
+            "stats": [str(corpus_dir)],
+            "convert": [str(corpus_dir), "--to", "bilexical", "--out", str(tmp_path / "out")],
+        }[command]
+        probe = ("import sys, uccakit.cli; code = uccakit.cli.main(sys.argv[1:]); "
+                 "sys.stderr.write(' '.join(sys.modules)); sys.exit(code)")
+        loaded = loaded_modules(probe, command, *argv)
+        self.assert_lean(loaded)
+        assert {name for name in loaded if name.startswith("uccakit")} == CLI_MODULES | COMMAND_MODULES[command]
+        assert "json" not in loaded  # only a printed payload needs it
 
 
 class TestUsage:

@@ -23,7 +23,6 @@ from uccakit.formats import (
     serialize_xml,
 )
 from uccakit.graph import NodeKind, Passage, build_passage
-from uccakit.samples import implicit_sample, remote_sample
 from uccakit.validation import normalize
 
 from .helpers import (
@@ -36,6 +35,7 @@ from .helpers import (
     reference_parse_xml,
     reference_serialize_xml,
 )
+from .samples import implicit_sample, remote_sample
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))

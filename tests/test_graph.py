@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uccakit.categories import Category
 from uccakit.errors import (
     DuplicateEdge,
     DuplicatePrimaryParent,
@@ -15,6 +16,7 @@ from uccakit.errors import (
     SealedPassage,
     StructuralViolation,
     TerminalAsParent,
+    UnknownCategory,
     UnknownNode,
     shown,
 )
@@ -22,9 +24,6 @@ from uccakit.evaluation import score_passage
 from uccakit.formats import parse_xml, serialize_xml
 from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
 from uccakit.stats import corpus_stats
-from uccakit.validation import normalize
-
-from uccakit.samples import implicit_sample, remote_sample
 
 from .helpers import (
     PUNCT,
@@ -34,6 +33,7 @@ from .helpers import (
     reference_parse_xml,
     reference_yields,
 )
+from .samples import implicit_sample, remote_sample
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
@@ -235,6 +235,18 @@ class TestAddEdge:
         with pytest.raises(GraphError):
             p.add_edge(p.root, p.terminal_id(1), "U", remote=True)
 
+    def test_assemble_refuses_unregistered_category(self):
+        # add_edge and parse_xml take a code; assemble takes an Edge holding
+        # any Category, which serialize_xml would write and parse_xml refuse.
+        # So no sealed passage can break rule V4.
+        root, word = NodeId(1, 1), NodeId(0, 1)
+        for category in (Category("Z", "Zeta"), Category("A", "Agent")):
+            with pytest.raises(UnknownCategory) as exc:
+                Passage.assemble("p", ["a"], root, [], [Edge(root, word, category)])
+            assert str(exc.value) == f"unregistered category: {category!r}"
+        p = Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category("A", "Participant"))])
+        assert parse_xml(serialize_xml(p)) == p  # an equal Category is the registered one
+
 
 class TestFreeze:
     def test_complete_sample(self, remote_passage):
@@ -357,6 +369,7 @@ class TestSealedTables:
         assert p.bottom_up() is p.bottom_up()
         for node in p.nodes:
             assert p.outgoing(node.id) is p.outgoing(node.id)
+            assert p.incoming(node.id) is p.incoming(node.id)  # one table, built once
         reentrant = next(n.id for n in p.nodes if p.is_reentrant(n.id))
         for table in (p.terminals, p.nodes, p.edges, p.outgoing(p.root),
                       p.incoming(reentrant), p.bottom_up()):
@@ -541,15 +554,17 @@ class TestReentrancy:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-    @example(86, True, True)  # seeds whose normalize drops a remote edge, as about
+    @example(86, True, True)  # seeds whose relabeling drops a remote edge, as about
     @example(127, True, True)  # one draw in 65 with remotes and legacy labels does
     def test_derived_reads_match_reference_lists(self, seed, remotes, legacy_labels):
-        # incoming, is_reentrant and the reentrancy count all read the edge
-        # tuple; the reference assembly keeps a list of incoming edges per node.
+        # incoming and is_reentrant read a table built on the first ask, and
+        # the reentrancy count the edge tuple; the reference assembly keeps a
+        # list of incoming edges per node.  The relabeled copy is read after
+        # its source, whose table it must not share.
         p = random_passage(random.Random(seed), max_units=4, max_remotes=6 if remotes else 0,
                            legacy_labels=legacy_labels)
-        q = normalize(p)
-        for passage in (p, q) if len(q.edges) < len(p.edges) else (p,):
+        passages = [p]
+        for passage in passages:
             lists = {}
             units = [(n.id, n.kind) for n in passage.nodes if not n.is_terminal and n.id != passage.root]
             reference_assemble(passage.passage_id, passage.tokens, passage.root, units,
@@ -560,6 +575,8 @@ class TestReentrancy:
                 assert passage.is_reentrant(nid) == (len(incoming) >= 2)
             reentrant = sum(len(incoming) >= 2 for incoming in lists.values())
             assert corpus_stats([passage]).reentrant == reentrant
+            if passage is p:  # once p's table is filled
+                passages.append(p.relabeled())
 
 
 @settings(max_examples=200)
@@ -602,7 +619,7 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
     defect = rng.choice([
         "duplicate", "second-primary", "implicit-parent", "terminal-parent", "remote-punct",
         "unknown-parent", "unknown-child", "self-loop", "cycle", "unreachable", "root-parent",
-        "terminal-unit", "taken-id", "wrong-layer", "remote-only",
+        "terminal-unit", "taken-id", "wrong-layer", "remote-only", "unknown-code", "renamed-code",
     ])
     if defect == "duplicate" and edges:
         added = rng.choice(edges)
@@ -631,6 +648,11 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
     elif defect == "remote-only" and primary:  # a child left with remote parents only
         edge = rng.choice(primary)
         edges[edges.index(edge)] = edge._replace(remote=True)
+        return
+    elif defect in ("unknown-code", "renamed-code") and edges:
+        edge = rng.choice(edges)
+        code = "Z" if defect == "unknown-code" else edge.category.code
+        edges[edges.index(edge)] = edge._replace(category=Category(code, "Zeta"))
         return
     elif defect == "unreachable":
         units.insert(rng.randint(0, len(units)), (NodeId(1, 901), NodeKind.NON_TERMINAL))
@@ -695,5 +717,5 @@ class TestAssembleMatchesReference:
                 refused.add(ours[0].__name__ if ours[2] is None else ours[2])
         assert refused >= {
             "GraphError", "DuplicateEdge", "DuplicatePrimaryParent", "TerminalAsParent",
-            "UnknownNode", "root-parent", "reachability", "acyclicity",
+            "UnknownNode", "UnknownCategory", "root-parent", "reachability", "acyclicity",
         }

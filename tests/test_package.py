@@ -1,0 +1,88 @@
+"""The package namespace: public names resolved on first use (PEP 562)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import uccakit
+
+PUBLIC = [
+    "BilexicalRow",
+    "Category",
+    "Edge",
+    "EvalScores",
+    "Node",
+    "NodeId",
+    "NodeKind",
+    "Passage",
+    "RuleSet",
+    "StatsReport",
+    "StructuralViolation",
+    "TokenMismatch",
+    "UccaError",
+    "UnknownCategory",
+    "ValidationReport",
+    "build_passage",
+    "corpus_stats",
+    "edge_signatures",
+    "export_bilexical",
+    "export_text",
+    "match_count",
+    "normalize",
+    "parse_xml",
+    "score_corpus",
+    "score_passage",
+    "serialize_xml",
+    "validate",
+]
+
+
+def test_all_is_the_public_api():
+    assert uccakit.__all__ == PUBLIC
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from uccakit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_name_is_its_home_modules_object(name):
+    value = getattr(uccakit, name)
+    assert value.__module__.startswith("uccakit.")
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        uccakit.no_such_name
+
+
+def test_fresh_import_lists_every_name_and_loads_on_first_use():
+    probe = (
+        "import sys, uccakit\n"
+        "print(set(uccakit.__all__) <= set(dir(uccakit)))\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('uccakit')))\n"
+        "uccakit.Category\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('uccakit')))\n"
+        "print(hasattr(uccakit, 'formats'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(uccakit.__file__).parents[1])},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    # A bare import binds no submodule: uccakit.formats is not an attribute.
+    assert result.stdout.splitlines() == [
+        "True",
+        "uccakit",
+        "uccakit uccakit.categories uccakit.errors",
+        "False",
+    ]

@@ -3,10 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uccakit.samples import implicit_sample, remote_sample
 from uccakit.stats import StatsReport, corpus_stats, render_table
 
 from .helpers import random_passage
+from .samples import implicit_sample, remote_sample
 
 passage_lists = st.lists(
     st.integers(0, 2**32 - 1), min_size=0, max_size=6

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uccakit.categories import LEGACY_REPLACEMENT, Category
-from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
-from uccakit.samples import implicit_sample, remote_sample
+from uccakit.categories import LEGACY_REPLACEMENT
+from uccakit.graph import NodeKind, build_passage
 from uccakit.validation import RULES, RuleSet, normalize, validate
 
 from .helpers import random_passage, rebuild, relabel
+from .samples import implicit_sample, remote_sample
 
 legacy_passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed), legacy_labels=True)
@@ -232,14 +232,6 @@ class TestValidate:
         report = validate(p.freeze())
         assert [v.rule for v in report.violations] == ["V3"]
 
-    def test_unregistered_category_fires_v4(self):
-        # add_edge and parse_xml refuse an unknown code before a passage
-        # exists; only assemble takes an Edge holding any Category.
-        root, word = NodeId(1, 1), NodeId(0, 1)
-        p = Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category("Z", "Zeta"))])
-        report = validate(p)
-        assert [(v.rule, v.ref) for v in report.violations] == [("V4", "1.1->0.1")]
-
     def test_disabled_rules_stay_silent(self):
         report = validate(passage_with_labels("T"), RuleSet(frozenset({"V3"})))
         assert report.ok
@@ -253,7 +245,7 @@ class TestValidate:
         assert set(lines[0]) == {"passage", "rule", "ref", "message"}
 
     def test_violation_order_and_refs(self):
-        # Edge rules V0/V4 in edge order, then V1/V2 per unit, then V3.
+        # Edge rule V0 in edge order, then V1/V2 per unit, then V3.
         p = build_passage("p", ["x", ",", "y", "z"])
         scene = p.add_node(NodeKind.NON_TERMINAL)
         p.add_edge(p.root, scene, "H")
