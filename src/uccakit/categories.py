@@ -64,8 +64,3 @@ class Category(namedtuple("Category", "code longname")):
 
 #: Every category by its code.
 CATEGORIES = {code: Category(code, longname) for code, longname in ALL_CODES.items()}
-
-
-def as_category(value: "Category | str") -> Category:
-    """Coerce a code string or Category instance to the registered Category."""
-    return Category.from_code(value.code if isinstance(value, Category) else value)

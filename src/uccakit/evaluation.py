@@ -18,7 +18,7 @@ from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable
 
 from .categories import ALL_CODES, PUNCT_CODE, report_order
-from .errors import TokenMismatch
+from .errors import TokenMismatch, shown
 from .graph import Passage, yield_positions
 from .records import Record, render_rows
 
@@ -119,7 +119,7 @@ class EvalScores(Record):
 def score_passage(output: Passage, gold: Passage, include_punct: bool = True) -> EvalScores:
     """Score one output passage against its gold annotation."""
     if output.tokens != gold.tokens:
-        raise TokenMismatch(f"passage {gold.passage_id}: {_difference(output.tokens, gold.tokens)}")
+        raise TokenMismatch(f"passage {shown(gold.passage_id)}: {_difference(output.tokens, gold.tokens)}")
     # One tally per pair: each (mask, code, remote) key's count on both
     # sides.  Matching is per key, so the labeled strata and the categories
     # are sums by (code, remote); the unlabeled keys (mask, remote) merge
@@ -155,11 +155,11 @@ def score_passage(output: Passage, gold: Passage, include_punct: bool = True) ->
 
 
 def _difference(output: tuple[str, ...], gold: tuple[str, ...]) -> str:
-    """Where two different token sequences first part."""
+    """Where two different token sequences first part, long tokens shortened."""
     if len(output) != len(gold):
         return f"output has {len(output)} tokens, gold has {len(gold)}"
     k = next(k for k in range(len(gold)) if output[k] != gold[k])
-    return f"token {k + 1} is {output[k]!r} in the output, {gold[k]!r} in the gold"
+    return f"token {k + 1} is {shown(output[k])!r} in the output, {shown(gold[k])!r} in the gold"
 
 
 def score_corpus(

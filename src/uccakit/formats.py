@@ -163,6 +163,8 @@ def _read_elements(document: bytes | str) -> tuple[str, list]:
         parser.Parse(document, True)
     except (ExpatError, LookupError, ValueError) as exc:  # the latter two: bad encoding
         raise XmlSyntax(f"malformed XML: {exc}") from None
+    finally:  # these handlers refer back to the parser: no cycle is left to collect
+        parser.StartElementHandler = parser.StartDoctypeDeclHandler = parser.DefaultHandlerExpand = None
     return found[0], found[1]
 
 

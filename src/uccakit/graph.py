@@ -7,18 +7,19 @@ while being built and immutable once sealed by :meth:`Passage.freeze`;
 all analytic queries require a sealed passage.  Units added one at a time
 and units loaded in bulk by :meth:`Passage.assemble` pass through the
 same loop of checks, and edges through one linker, ``Passage._link``.
-Sealing walks the whole edge set once, the only acyclicity check, and
-records a bottom-up node order; the first yield asked for fills the yields
-of all nodes at once, in that order, as integer masks with bit k set for
-token k, decoded to positions only where a yield leaves the library.
+Sealing walks the whole edge set once, the only acyclicity check, records
+a bottom-up node order and, in that order, fills the yields of all nodes:
+integer masks with bit k set for token k, decoded to positions only where
+a yield leaves the library.
 
 Once every check has passed, sealing stores the edge tables as tuples.
 Accessors return tuples: ``terminals``, ``edges``, ``outgoing``,
 ``bottom_up`` and ``incoming`` hand out a sealed passage's own tables
 without copying, and ``nodes`` and the accessors of a passage being built,
-snapshots.  While a passage is built it keeps no table of incoming edges
-per node, only the set of nodes that have their one primary parent; the
-first ``incoming`` or ``is_reentrant`` on a sealed passage builds that table.
+snapshots.  A passage being built keeps no table of incoming edges, only
+the set of nodes that have their one primary parent; ``incoming`` builds
+that table in one pass over the edges, on every call while the passage is
+built and on the first call only once it is sealed.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from collections.abc import Iterable
 from enum import Enum
 from itertools import count, repeat
 
-from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category, as_category
+from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category
 from .errors import (
     DuplicateEdge,
     DuplicatePrimaryParent,
@@ -139,11 +140,10 @@ class Passage:
         self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
         self._has_parent: set[NodeId] = set()  # the child of every primary edge
         self._max_unit_index = 0
-        # Set by freeze and filled all at once by _fill_yields; relabeled
-        # copies share both.
+        # Both set by freeze; relabeled copies share them.
         self._order: tuple[NodeId, ...] = ()
         self._yields: dict[NodeId, int] = {}
-        # Each node's incoming edges, filled on a sealed passage's first ask.
+        # Each node's incoming edges, kept from a sealed passage's first ask.
         self._in: dict[NodeId, tuple[Edge, ...]] = {}
         self.root = root_id or NodeId(UNIT_LAYER, 1)
         if self.root.layer != UNIT_LAYER:
@@ -192,11 +192,11 @@ class Passage:
     ) -> None:
         """Link one edge.  An edge that closes a cycle is refused by freeze."""
         self._require_mutable()
-        self._link([Edge(parent, child, as_category(category), remote)])
+        self._link([Edge(parent, child, Category.from_code(getattr(category, "code", category)), remote)])
 
     def freeze(self) -> "Passage":
-        """Verify all passage invariants, record the bottom-up node order
-        and seal the passage.
+        """Verify all passage invariants, record the bottom-up node order,
+        fill every yield mask in it and seal the passage.
 
         Raises StructuralViolation carrying the first failed invariant.
         """
@@ -222,7 +222,15 @@ class Passage:
         if len(order) != len(nodes):
             stuck = next(nid for nid in nodes if nid.layer == UNIT_LAYER and pending[nid])
             raise StructuralViolation("acyclicity", stuck)
-        self._order = tuple(reversed(order))
+        # Bottom-up: a terminal sets its position's bit, a unit ORs its primary children's.
+        self._order, yields = tuple(reversed(order)), {}
+        for nid in self._order:
+            mask = 1 << nid[1] if nid[0] == TERMINAL_LAYER else 0
+            for _, child, _, remote in out[nid]:
+                if not remote:
+                    mask |= yields[child]
+            yields[nid] = mask
+        self._yields = yields
         self._seal()
         return self
 
@@ -276,10 +284,7 @@ class Passage:
 
     def incoming(self, node_id: NodeId) -> tuple[Edge, ...]:
         """The edges into a node, in edge order."""
-        nid = self.node(node_id).id
-        if not self._sealed:
-            return tuple(edge for edge in self._edges if edge[1] == nid)
-        return self._incoming_table()[nid]
+        return self._incoming_table()[self.node(node_id).id]
 
     # -- queries (sealed passages only) -----------------------------------
 
@@ -287,8 +292,6 @@ class Passage:
         """Every node's yield as a mask with bit k set for token k: the
         table itself, to be read and not changed."""
         self.require_sealed()
-        if not self._yields:
-            self._fill_yields()
         return self._yields
 
     def yield_of(self, node_id: NodeId) -> tuple[int, ...]:
@@ -373,7 +376,7 @@ class Passage:
 
     def _require_mutable(self) -> None:
         if self._sealed:
-            raise SealedPassage(f"passage {self.passage_id} is sealed")
+            raise SealedPassage(f"passage {shown(self.passage_id)} is sealed")
 
     def _seal(self) -> None:
         """Store the edge tables as tuples, once every check has passed."""
@@ -382,14 +385,17 @@ class Passage:
         self._sealed = True
 
     def _incoming_table(self) -> dict[NodeId, tuple[Edge, ...]]:
-        """Each node's incoming edges in edge order, built by the first call
-        on a sealed passage from one pass over the edge tuple."""
-        if not self._in:
-            table = {nid: [] for nid in self._nodes}
-            for edge in self._edges:
-                table[edge[1]].append(edge)
-            self._in = dict(zip(table, map(tuple, table.values())))
-        return self._in
+        """Each node's incoming edges in edge order, from one pass over the
+        edges: kept from the first call once sealed, rebuilt while building."""
+        if self._in:
+            return self._in
+        table = {nid: [] for nid in self._nodes}
+        for edge in self._edges:
+            table[edge[1]].append(edge)
+        table = dict(zip(table, map(tuple, table.values())))
+        if self._sealed:
+            self._in = table
+        return table
 
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
         """Register unattached layer-1 units, checking each one."""
@@ -435,20 +441,6 @@ class Passage:
                 has_parent.add(child)
             append(edge)
             children.append(edge)
-
-    def _fill_yields(self) -> None:
-        """Every yield mask in one bottom-up pass: a terminal sets the bit of
-        its position, and a unit ORs its primary children's masks."""
-        yields, out = self._yields, self._out
-        for nid in self._order:
-            if nid[0] == TERMINAL_LAYER:
-                yields[nid] = 1 << nid[1]
-                continue
-            mask = 0
-            for _, child, _, remote in out[nid]:
-                if not remote:
-                    mask |= yields[child]
-            yields[nid] = mask
 
 
 def yield_positions(mask: int) -> tuple[int, ...]:

@@ -165,14 +165,22 @@ class TestEvaluate:
         assert code == 3
         assert err
 
-    @pytest.mark.parametrize("system_tokens, difference", [
-        (["Hello", "there"], "token 2 is 'there' in the output, 'world' in the gold"),
-        (["Hello"], "output has 1 tokens, gold has 2"),
-    ], ids=["text", "count"])
-    def test_token_mismatch_names_both_files(self, capsys, tmp_path, system_tokens, difference):
+    # Long tokens and a long passage id are shortened as the reader's messages shorten them.
+    @pytest.mark.parametrize("passage_id, gold_tokens, system_tokens, message", [
+        ("7", ["Hello", "world"], ["Hello", "there"],
+         "passage 7: token 2 is 'there' in the output, 'world' in the gold"),
+        ("7", ["Hello", "world"], ["Hello"], "passage 7: output has 1 tokens, gold has 2"),
+        ("7", ["x" * 3000, "y"], ["x" * 2999 + "z", "y"],
+         "passage 7: token 1 is 'xxxxxxxxxxxx... (3000 characters)' in the output, "
+         "'xxxxxxxxxxxx... (3000 characters)' in the gold"),
+        ("x" * 3000, ["Hello", "world"], ["Hello", "there"],
+         "passage xxxxxxxxxxxx... (3000 characters): token 2 is 'there' in the output, 'world' in the gold"),
+    ], ids=["text", "count", "long-tokens", "long-passage-id"])
+    def test_token_mismatch_names_both_files(self, capsys, tmp_path, passage_id, gold_tokens,
+                                             system_tokens, message):
         paths = []
-        for name, tokens in (("gold", ["Hello", "world"]), ("system", system_tokens)):
-            p = build_passage("7", tokens)
+        for name, tokens in (("gold", gold_tokens), ("system", system_tokens)):
+            p = build_passage(passage_id, tokens)
             for position in range(1, len(tokens) + 1):
                 p.add_edge(p.root, p.terminal_id(position), "A")
             paths.append(tmp_path / f"{name}.xml")
@@ -181,7 +189,7 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", "--gold", str(gold), "--system", str(system))
         assert code == cli.EXIT_TOKEN_MISMATCH
         assert out == ""
-        assert err == f"{system} vs {gold}: passage 7: {difference}\n"
+        assert err == f"{system} vs {gold}: {message}\n"
 
     def test_pairing_is_order_independent(self, capsys, corpus_dir, degraded_dir):
         _, first, _ = run(

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -587,3 +588,27 @@ class TestReaderMatchesReference:
         error, message = outcome(parse_xml, document)
         assert (error, message) == outcome(reference_parse_xml, document)
         assert error is XmlSyntax and message.startswith("malformed XML: ")
+
+
+class TestNoReferenceCycle:
+    """The reader's handlers that refer back to the parser are cleared once
+    it ends, so a parse leaves nothing for the cyclic garbage collector."""
+
+    @pytest.mark.parametrize("document, refused", [
+        (MINIMAL, False),
+        (with_doctype(MINIMAL, '<!DOCTYPE root [<!ENTITY hi "hi">]>').replace(b'"hi"/>', b'"&hi;"/>'), False),
+        (MINIMAL[:-20], True),
+        (UNDECLARED_ENTITY, True),
+    ], ids=["plain", "internal-doctype", "truncated", "undeclared-entity"])
+    def test_parse_leaves_nothing_to_collect(self, document, refused):
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                parse_xml(document)
+                raised = False
+            except XmlSyntax:
+                raised = True
+            assert (raised, gc.collect()) == (refused, 0)
+        finally:
+            gc.enable()

@@ -299,6 +299,15 @@ class TestFreeze:
                 remote_passage.root, remote_passage.terminal_id(1), "A"
             )
 
+    @pytest.mark.parametrize("passage_id, shown_id", [
+        ("p7", "p7"), ("p" * 3000, "pppppppppppp... (3000 characters)"),
+    ], ids=["short", "long"])
+    def test_sealed_message_shortens_long_id(self, passage_id, shown_id):
+        p = build_passage(passage_id, ["x"])
+        p.add_edge(p.root, p.terminal_id(1), "A")
+        with pytest.raises(SealedPassage, match=f"^passage {re.escape(shown_id)} is sealed$"):
+            p.freeze().add_node(NodeKind.NON_TERMINAL)
+
 
 #: Layer-1 units of a one-token document, each holding the id {u}, and the
 #: message that parse_xml refuses them with.
@@ -387,6 +396,27 @@ class TestSealedTables:
         p.add_edge(u, p.terminal_id(2), "C")
         assert before == ((Edge(p.root, u, p.edges[0].category),), p.nodes[:4], (), ())
         assert (len(p.edges), len(p.nodes), len(p.outgoing(u)), len(p.incoming(x))) == (3, 5, 2, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_incoming_while_building(self, seed, legacy_labels):
+        # incoming reads one table, rebuilt after every edge while the
+        # passage is built and kept once it is sealed.
+        source = random_passage(random.Random(seed), max_remotes=4, legacy_labels=legacy_labels)
+        p = build_passage(source.passage_id, source.tokens)
+        for node in source.nodes:
+            if not node.is_terminal and node.id != source.root:
+                p.add_node(node.kind, node_id=node.id)
+
+        def check(linked):
+            for node in p.nodes:
+                assert p.incoming(node.id) == tuple(e for e in linked if e.child == node.id)
+
+        for k, edge in enumerate(source.edges, start=1):
+            p.add_edge(*edge)
+            check(source.edges[:k])
+        p.freeze()
+        check(source.edges)
 
     def test_failed_freeze_leaves_tables_open(self):
         p = build_passage("p", ["x"])
