@@ -6,9 +6,11 @@ OLD_SRC and NEW_SRC are directories holding the ``uccakit`` package (a
 checkout's ``src``).  The seed-1 gold and system corpora of every benchmark
 workload are generated once with ``perfbench/corpus.py``; each side then runs
 the same list of commands in one fresh child process, calling ``cli.main``
-in process with UCCAKIT_FORMAT unset.  Stdout, stderr, exit codes and the
-files each command writes are compared.  Exit 0 if all are identical, 1
-naming the first command that differs.
+in process with UCCAKIT_FORMAT unset: uccakit ignores that variable, but
+older source trees, which may be given as OLD_SRC, let it select JSON
+output.  Stdout, stderr, exit codes and the files each command writes are
+compared.  Exit 0 if all are identical, 1 naming the first command that
+differs.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ def commands(gold: str, system: str, out: str) -> list[list[str]]:
             ["--no-normalize", "--fine-grained"], ["--no-normalize", "--fine-grained", "--json"],
         )),
         *(["stats", *inputs, *flags] for inputs in ([gold], [gold, system]) for flags in ([], ["--json"])),
-        *(["validate", path, *flags] for path in (gold, system) for flags in ([], ["--json"])),
+        *(["validate", path, *flags] for path in (gold, system) for flags in ([], ["--json"], ["--strict"])),
         ["normalize", gold, "--out", f"{out}/normalize"],
         ["convert", gold, "--to", "bilexical", "--out", f"{out}/bilexical"],
         ["convert", gold, "--to", "text", "--out", f"{out}/text"],

@@ -4,15 +4,15 @@ Subcommands: evaluate, validate, normalize, stats, convert.  Inputs are
 passage XML files or directories of them.  evaluate pairs gold and system files
 by stem, or two given files with each other; stats takes each input once.  Exit
 codes: 0 success, 1 usage error (such as a stats input given twice, path named
-on stderr), output closed early (`| head`) or output path cannot be written (path
-named on stderr), 2 parse error, or an input that is missing, a directory holding no
-*.xml file, or neither a regular file nor a directory (a FIFO or a device, never
-opened; a directory's *.xml entries must be regular files), or, for convert, a
-token holding a tab or a line break (no output written for that input), or,
-for validate without --json, a passage id holding one (none of that file's
-lines printed), offending path named on stderr, 3 token mismatch between
-system and gold (both paths named on stderr, with the first difference), 4
-validation violations under --strict.
+on stderr), output closed early (`| head`), output that stdout cannot encode, or
+an output path that cannot be written (path named on stderr), 2 parse error, or
+an input that is missing, a directory holding no *.xml file, or neither a regular
+file nor a directory (a FIFO or a device, never opened; a directory's *.xml
+entries must be regular files), or, for convert, a token holding a tab or a line
+break (no output written for that input), or, for validate without --json, a
+passage id holding one (none of that file's lines printed), offending path named
+on stderr, 3 token mismatch between system and gold (both paths named on stderr,
+with the first difference), 4 validation violations under --strict.
 """
 from __future__ import annotations
 
@@ -30,9 +30,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_TOKEN_MISMATCH = 3
 EXIT_VIOLATIONS = 4
-
-#: Environment variable selecting the default output format ("json" or "table").
-FORMAT_ENV_VAR = "UCCAKIT_FORMAT"
 
 #: Characters that would split a field or line of tab-separated output: convert
 #: refuses them in a token, validate's plain output in a passage id.
@@ -65,12 +62,6 @@ def _load(path: Path) -> formats.Passage:
         return formats.parse_xml(path.read_bytes())
     except (UccaError, OSError) as exc:
         raise _ParseFailure(path, exc) from exc
-
-
-def _json_output(args) -> bool:
-    if getattr(args, "json", False):
-        return True
-    return os.environ.get(FORMAT_ENV_VAR, "").lower() == "json"
 
 
 def _print_json(payload) -> None:
@@ -111,7 +102,7 @@ def _cmd_evaluate(args) -> int:
         del payload["by_category"]
     if args.unlabeled:
         del payload["labeled"]
-    if _json_output(args):
+    if args.json:
         _print_json(payload)
     else:
         print(evaluation.render_scores(payload))
@@ -124,11 +115,11 @@ def _cmd_validate(args) -> int:
     violations = 0
     for path in _xml_files(Path(args.input)):
         passage = _load(path)
-        if not (_json_output(args) or _FIELD_BREAKS.isdisjoint(passage.passage_id)):
+        if not (args.json or _FIELD_BREAKS.isdisjoint(passage.passage_id)):
             raise _ParseFailure(path, "passage id holds a tab or a line break")
         report = validation.validate(passage)
         violations += len(report.violations)
-        if _json_output(args):
+        if args.json:
             if report.violations:
                 print(report.to_json_lines())
         else:
@@ -163,7 +154,7 @@ def _cmd_stats(args) -> int:
     }
     # One input keeps the single-corpus layout: one unnamed column, one flat object.
     single = reports[args.input[0]] if len(args.input) == 1 else None
-    if _json_output(args):
+    if args.json:
         _print_json(single.to_dict() if single else {k: r.to_dict() for k, r in reports.items()})
     else:
         print(stats.render_table(single or reports))
@@ -242,7 +233,7 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the interpreter's final flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except OSError as exc:  # input read errors are _ParseFailure; this is output
+    except (OSError, UnicodeEncodeError) as exc:  # input errors are _ParseFailure; this is output
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _ParseFailure as exc:

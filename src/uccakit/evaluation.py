@@ -14,6 +14,7 @@ yields are decoded to positions only for :func:`edge_signatures`.
 """
 from __future__ import annotations
 
+import os
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable
 
@@ -155,11 +156,16 @@ def score_passage(output: Passage, gold: Passage, include_punct: bool = True) ->
 
 
 def _difference(output: tuple[str, ...], gold: tuple[str, ...]) -> str:
-    """Where two different token sequences first part, long tokens shortened."""
+    """Where two different token sequences first part, long tokens shortened;
+    if both shorten alike, also the first character where the two differ."""
     if len(output) != len(gold):
         return f"output has {len(output)} tokens, gold has {len(gold)}"
     k = next(k for k in range(len(gold)) if output[k] != gold[k])
-    return f"token {k + 1} is {shown(output[k])!r} in the output, {shown(gold[k])!r} in the gold"
+    said, wanted = shown(output[k]), shown(gold[k])
+    message = f"token {k + 1} is {said!r} in the output, {wanted!r} in the gold"
+    if said == wanted:
+        message += f"; they first differ at character {len(os.path.commonprefix((output[k], gold[k]))) + 1}"
+    return message
 
 
 def score_corpus(

@@ -66,7 +66,7 @@ def parse_xml(document: bytes | str) -> Passage:
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
 
-    tokens, terminal_ids = [], []
+    tokens = []
     for position, (attrs, attributes, _, _) in enumerate(layers["0"], start=1):
         nid = attrs.get("ID", "")
         if nid != f"0.{position}":
@@ -74,7 +74,6 @@ def parse_xml(document: bytes | str) -> Passage:
         if attributes is None or "text" not in attributes:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
         tokens.append(attributes["text"])
-        terminal_ids.append(nid)
 
     units: list[tuple[NodeId, NodeKind]] = []
     written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
@@ -98,7 +97,7 @@ def parse_xml(document: bytes | str) -> Passage:
             written.append((nid, to_id, code, remote))
 
     new = tuple.__new__  # checked fields: each record is built without its Python __new__
-    ids.update(zip(terminal_ids, [new(NodeId, (0, k)) for k in range(1, len(tokens) + 1)]))
+    ids.update((f"0.{k}", new(NodeId, (0, k))) for k in range(1, len(tokens) + 1))
     edges = []
     for nid, to_id, code, remote in written:
         # A toID not written as str(NodeId) is parsed, then looked up.
@@ -231,35 +230,31 @@ BilexicalRow = namedtuple("BilexicalRow", "position form head deprel")
 def export_bilexical(passage: Passage) -> list[BilexicalRow]:
     """Collapse the graph to one head and relation per token.
 
-    One bottom-up walk over primary edges gives each node a lexical head
-    and a leftmost position: a terminal heads itself; a unit takes the head
-    of its headed child with the lowest (HEAD_PRIORITY rank of the edge,
-    leftmost position), and units with an empty yield have no head.  Each
-    other headed child's head depends on the unit's head, labeled with the
-    category of the edge into that child; the root's head gets ROOT_DEPREL.
-    Remote edges and implicit nodes are dropped.  Legacy T/Q labels are
-    read as their replacements, so a passage exports as its normalized
-    form does.
+    A node has a lexical head iff its yield is not empty: a terminal heads
+    itself, and a unit takes the head of its primary child with the lowest
+    (HEAD_PRIORITY rank of the edge, first token of the child's yield)
+    among those with a non-empty yield.  Each other such child's head
+    depends on the unit's head, labeled with the category of the edge into
+    that child; the root's head gets ROOT_DEPREL.  Remote edges and
+    implicit nodes are dropped.  Legacy T/Q labels are read as their
+    replacements, so a passage exports as its normalized form does.
     """
-    found: dict[NodeId, tuple[int, int]] = {}  # leftmost position, head position
+    masks = passage.yield_masks()
+    heads: dict[NodeId, int] = {}  # head position of each node with a non-empty yield
     rows: dict[int, tuple[int, str]] = {}  # dependent position -> head position, relation
     for nid in passage.bottom_up():  # children first
         node = passage.node(nid)
         if node.is_terminal:
-            found[nid] = (node.position, node.position)
-            continue
-        # Sibling yields are disjoint, so no two headed children tie.
-        headed = [(_HEAD_RANK[category.code], found[child], category.code)
-                  for _, child, category, remote in passage.outgoing(nid)
-                  if not remote and child in found]
-        if not headed:
-            continue
-        _, (_, head), _ = min(headed)
-        found[nid] = (min(leftmost for _, (leftmost, _), _ in headed), head)
-        for _, (_, dependent), code in headed:
-            if dependent != head:
-                rows[dependent] = (head, LEGACY_REPLACEMENT.get(code, code))
-    rows[found[passage.root][1]] = (0, ROOT_DEPREL)
+            heads[nid] = node.position
+        elif masks[nid]:
+            # The head child first; sibling yields are disjoint, so no two share a lowest bit.
+            headed = sorted((_HEAD_RANK[category.code], masks[child] & -masks[child], child, category.code)
+                            for _, child, category, remote in passage.outgoing(nid)
+                            if not remote and masks[child])
+            head = heads[nid] = heads[headed[0][2]]
+            for _, _, child, code in headed[1:]:
+                rows[heads[child]] = (head, LEGACY_REPLACEMENT.get(code, code))
+    rows[heads[passage.root]] = (0, ROOT_DEPREL)
     return [BilexicalRow(t.position, t.text, *rows[t.position]) for t in passage.terminals]
 
 

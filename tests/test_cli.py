@@ -77,14 +77,6 @@ class TestEvaluate:
         f1 = payload["labeled"]["all"]["f1"]
         assert f"{f1:.3f}" in table
 
-    def test_env_var_selects_json(self, capsys, corpus_dir, monkeypatch):
-        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "json")
-        code, out, _ = run(
-            capsys, "evaluate", "--gold", str(corpus_dir), "--system", str(corpus_dir)
-        )
-        assert code == 0
-        assert json.loads(out)["labeled"]["all"]["f1"] == 1.0
-
     def test_fine_grained(self, capsys, corpus_dir):
         code, out, _ = run(
             capsys,
@@ -172,10 +164,13 @@ class TestEvaluate:
         ("7", ["Hello", "world"], ["Hello"], "passage 7: output has 1 tokens, gold has 2"),
         ("7", ["x" * 3000, "y"], ["x" * 2999 + "z", "y"],
          "passage 7: token 1 is 'xxxxxxxxxxxx... (3000 characters)' in the output, "
-         "'xxxxxxxxxxxx... (3000 characters)' in the gold"),
+         "'xxxxxxxxxxxx... (3000 characters)' in the gold; they first differ at character 3000"),
+        ("7", ["a" * 3000], ["b" * 3000],
+         "passage 7: token 1 is 'bbbbbbbbbbbb... (3000 characters)' in the output, "
+         "'aaaaaaaaaaaa... (3000 characters)' in the gold"),
         ("x" * 3000, ["Hello", "world"], ["Hello", "there"],
          "passage xxxxxxxxxxxx... (3000 characters): token 2 is 'there' in the output, 'world' in the gold"),
-    ], ids=["text", "count", "long-tokens", "long-passage-id"])
+    ], ids=["text", "count", "long-tokens", "long-tokens-shortened-apart", "long-passage-id"])
     def test_token_mismatch_names_both_files(self, capsys, tmp_path, passage_id, gold_tokens,
                                              system_tokens, message):
         paths = []
@@ -559,32 +554,68 @@ class TestUnwritableOutput:
         assert str(afile) in err and "Traceback" not in err
 
 
+def legacy_corpus(directory: Path, passage_id: str = "1") -> Path:
+    """A directory holding one passage whose one edge has a legacy T label,
+    which gives validate a violation line to print."""
+    p = build_passage(passage_id, ["x"])
+    p.add_edge(p.root, p.terminal_id(1), "T")
+    directory.mkdir()
+    (directory / "legacy.xml").write_bytes(serialize_xml(p.freeze()))
+    return directory
+
+
+def run_module(argv: list[str], env: dict[str, str] | None = None, **kwargs):
+    """`python -m uccakit.cli` run on argv in a fresh interpreter that
+    imports this uccakit, with `env` added to the environment."""
+    src = str(Path(cli.__file__).parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **(env or {})}
+    return subprocess.run([sys.executable, "-m", "uccakit.cli", *argv], env=env, timeout=60, **kwargs)
+
+
 class TestClosedOutput:
     @pytest.mark.parametrize("command", ["validate", "stats"])
     def test_no_traceback(self, tmp_path, command):
-        # The legacy label gives validate a violation line to print.
-        legacy = rebuild(
-            remote_sample(),
-            lambda e: relabel(e, "T") if e.category.code == "L" else e,
-        )
-        (tmp_path / "legacy.xml").write_bytes(serialize_xml(legacy))
-        src = str(Path(cli.__file__).parents[1])
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        corpus = legacy_corpus(tmp_path / "corpus")
         read_end, write_end = os.pipe()
         os.close(read_end)  # as `| head -0` does: every write to stdout fails
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "uccakit.cli", command, str(tmp_path)],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=env,
-                timeout=60,
-            )
+            result = run_module([command, str(corpus)], stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert result.stderr == b""
         assert result.returncode == cli.EXIT_USAGE
+
+
+class TestUnencodableOutput:
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_no_traceback(self, tmp_path, command):
+        # validate prints the passage id; stats, given two inputs, heads its columns with their paths.
+        inputs = [str(legacy_corpus(tmp_path / "corpüs", "pé"))]
+        if command == "stats":
+            inputs.insert(0, str(legacy_corpus(tmp_path / "enc")))
+        result = run_module([command, *inputs], env={"PYTHONIOENCODING": "ascii"},
+                            capture_output=True, text=True)
+        assert result.returncode == cli.EXIT_USAGE
+        assert result.stderr.startswith("cannot write output: 'ascii' codec can't encode")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+class TestFormatFromArguments:
+    """What a command prints follows from its arguments and inputs alone;
+    UCCAKIT_FORMAT, which once selected JSON, changes nothing."""
+
+    @pytest.mark.parametrize("command, passage_id", [
+        ("evaluate", "1"), ("validate", "1"), ("validate", "a\tb"), ("stats", "1"),
+    ], ids=["evaluate", "validate", "validate-tab-in-id", "stats"])
+    def test_format_variable_ignored(self, capsys, monkeypatch, tmp_path, command, passage_id):
+        corpus = str(legacy_corpus(tmp_path / "corpus", passage_id))
+        argv = ["--gold", corpus, "--system", corpus] if command == "evaluate" else [corpus]
+        monkeypatch.delenv("UCCAKIT_FORMAT", raising=False)
+        plain = run(capsys, command, *argv)
+        assert plain[1] or plain[2]  # each case prints something
+        monkeypatch.setenv("UCCAKIT_FORMAT", "json")
+        assert run(capsys, command, *argv) == plain
 
 
 #: The modules that importing the CLI loads, and that every command parses with.

@@ -487,13 +487,13 @@ class TestParserFuzz:
 
 
 def outcome(read, document):
-    """The passage read, as its id, root, nodes, edges in order and
-    bottom-up order; or the error, as its type and message."""
+    """The passage read, as its id, root, nodes, edges in order, bottom-up
+    order and yield masks; or the error, as its type and message."""
     try:
         p = read(document)
     except Exception as exc:
         return type(exc), str(exc)
-    return p.passage_id, p.root, p.nodes, p.edges, p.bottom_up()
+    return p.passage_id, p.root, p.nodes, p.edges, p.bottom_up(), p.yield_masks()
 
 
 #: Markup inserted after a random ">": unknown and nested elements, elements

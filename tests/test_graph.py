@@ -699,13 +699,14 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
 
 
 def assembled(assemble, p: Passage, units: list, edges: list):
-    """The passage assembled, as its id, root, nodes, edges in order and
-    bottom-up order; or the error, as its type, message, rule and node."""
+    """The passage assembled, as its id, root, nodes, edges in order,
+    bottom-up order and yield masks; or the error, as its type, message,
+    rule and node."""
     try:
         q = assemble(p.passage_id, p.tokens, p.root, units, edges)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "rule", None), getattr(exc, "node_id", None)
-    return q.passage_id, q.root, q.nodes, q.edges, q.bottom_up()
+    return q.passage_id, q.root, q.nodes, q.edges, q.bottom_up(), q.yield_masks()
 
 
 class TestAssembleMatchesReference:
