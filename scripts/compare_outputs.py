@@ -6,9 +6,7 @@ OLD_SRC and NEW_SRC are directories holding the ``uccakit`` package (a
 checkout's ``src``).  The seed-1 gold and system corpora of every benchmark
 workload are generated once with ``perfbench/corpus.py``; each side then runs
 the same list of commands in one fresh child process, calling ``cli.main``
-in process with UCCAKIT_FORMAT unset: uccakit ignores that variable, but
-older source trees, which may be given as OLD_SRC, let it select JSON
-output.  Stdout, stderr, exit codes and the files each command writes are
+in process.  Stdout, stderr, exit codes and the files each command writes are
 compared.  Exit 0 if all are identical, 1 naming the first command that
 differs.
 """
@@ -54,7 +52,6 @@ def run_side(src: str, work: str, argvs: list[list[str]]) -> list[tuple]:
     """In a fresh process with `work` as its directory: each command's exit
     code, stdout, stderr and the files it wrote, by path."""
     sys.path.insert(0, src)
-    os.environ.pop("UCCAKIT_FORMAT", None)
     os.chdir(work)
     from uccakit import cli
 

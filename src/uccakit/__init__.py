@@ -28,7 +28,7 @@ _HOMES = {
     "export_bilexical": "formats",
     "export_text": "formats",
     "match_count": "evaluation",
-    "normalize": "validation",
+    "normalize": "graph",
     "parse_xml": "formats",
     "score_corpus": "evaluation",
     "score_passage": "evaluation",

@@ -55,9 +55,6 @@ class Category(namedtuple("Category", "code longname")):
         except KeyError:
             raise UnknownCategory(f"unknown category code: {shown(code)!r}") from None
 
-    def is_legacy(self) -> bool:
-        return self.code in LEGACY
-
     def __str__(self) -> str:
         return self.code
 

@@ -24,6 +24,7 @@ from pathlib import Path
 # Every command parses; each handler imports the modules only it runs.
 from . import formats
 from .errors import TokenMismatch, UccaError
+from .graph import normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,7 +72,7 @@ def _print_json(payload) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    from . import evaluation, validation
+    from . import evaluation
 
     gold_path, system_path = Path(args.gold), Path(args.system)
     if gold_path.is_file() and system_path.is_file():  # a pair whatever the stems
@@ -92,7 +93,7 @@ def _cmd_evaluate(args) -> int:
     for stem in sorted(gold):  # one pair in memory at a time
         out, ref = _load(system[stem]), _load(gold[stem])
         if not args.no_normalize:
-            out, ref = validation.normalize(out), validation.normalize(ref)
+            out, ref = normalize(out), normalize(ref)
         try:
             scores = scores.merge(evaluation.score_passage(out, ref, not args.exclude_punct))
         except TokenMismatch as exc:
@@ -131,12 +132,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    from . import validation
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in _xml_files(Path(args.input)):
-        passage = validation.normalize(_load(path))
+        passage = normalize(_load(path))
         (out_dir / path.name).write_bytes(formats.serialize_xml(passage))
     return EXIT_OK
 
@@ -170,14 +169,10 @@ def _cmd_convert(args) -> int:
             if not _FIELD_BREAKS.isdisjoint(token):
                 raise _ParseFailure(path, f"token {position} holds a tab or a line break")
         if args.to == "text":
-            (out_dir / f"{path.stem}.txt").write_text(
-                formats.export_text(passage) + "\n", encoding="utf-8"
-            )
+            name, text = f"{path.stem}.txt", formats.export_text(passage) + "\n"
         else:
-            rows = formats.export_bilexical(passage)
-            (out_dir / f"{path.stem}.tsv").write_text(
-                formats.render_bilexical(rows), encoding="utf-8"
-            )
+            name, text = f"{path.stem}.tsv", formats.render_bilexical(formats.export_bilexical(passage))
+        (out_dir / name).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 

@@ -19,7 +19,8 @@ without copying, and ``nodes`` and the accessors of a passage being built,
 snapshots.  A passage being built keeps no table of incoming edges, only
 the set of nodes that have their one primary parent; ``incoming`` builds
 that table in one pass over the edges, on every call while the passage is
-built and on the first call only once it is sealed.
+built and on the first call only once it is sealed.  The T/Q-free copy that
+``normalize`` makes shares every table but the edge tables with its input.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
 Edge = namedtuple("Edge", "parent child category remote", defaults=(False,))
 
 
-#: Legacy code -> the registered category that relabeled puts in its place.
+#: Legacy code -> the registered category that normalize puts in its place.
 _REPLACEMENTS = {code: CATEGORIES[new] for code, new in LEGACY_REPLACEMENT.items()}
 
 #: The categories an edge may carry; a Category equal to one of them is it.
@@ -140,7 +141,7 @@ class Passage:
         self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
         self._has_parent: set[NodeId] = set()  # the child of every primary edge
         self._max_unit_index = 0
-        # Both set by freeze; relabeled copies share them.
+        # Both set by freeze; normalize's copies share them.
         self._order: tuple[NodeId, ...] = ()
         self._yields: dict[NodeId, int] = {}
         # Each node's incoming edges, kept from a sealed passage's first ask.
@@ -308,35 +309,6 @@ class Passage:
         self.require_sealed()
         return self._order
 
-    def relabeled(self) -> "Passage":
-        """A sealed copy whose legacy T/Q edges carry the categories that
-        LEGACY_REPLACEMENT names.
-
-        Relabeling cannot change the primary tree, so the copy shares this
-        passage's nodes, parented set, bottom-up order and yields; only the
-        edge tables are new, linked without the checks that relabeling cannot
-        break, and sealed as freeze seals them.  A remote edge equal to one
-        linked before it, which only relabeling can make, is dropped.
-        """
-        self.require_sealed()
-        fresh = object.__new__(type(self))
-        fresh.__dict__.update(self.__dict__)  # copy.copy, without importing copy
-        fresh._edges = edges = []
-        fresh._in = {}  # its edges are not this passage's
-        fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in self._nodes}
-        for edge in self._edges:
-            parent, child, category, remote = edge
-            mapped = _REPLACEMENTS.get(category.code)
-            if mapped is not None:
-                edge = _new(Edge, (parent, child, mapped, remote))
-            children = out[parent]
-            if remote and edge in children:
-                continue
-            edges.append(edge)
-            children.append(edge)
-        fresh._seal()
-        return fresh
-
     def is_discontinuous(self, node_id: NodeId) -> bool:
         """True iff the yield is non-empty and not a contiguous range: adding
         the lowest set bit clears the lowest run of set bits, and another
@@ -441,6 +413,38 @@ class Passage:
                 has_parent.add(child)
             append(edge)
             children.append(edge)
+
+
+def normalize(passage: Passage) -> Passage:
+    """Relabel every T edge to D and every Q edge to E.
+
+    An unsealed input is frozen first, and one without a legacy label is
+    returned as is; otherwise the input keeps its labels.  Relabeling cannot
+    change the primary tree, so the sealed copy shares the input's nodes,
+    parented set, bottom-up order and yields; only the edge tables are new,
+    linked without the checks that relabeling cannot break.  A remote edge
+    equal to one linked before it, which only relabeling can make, is dropped.
+    """
+    passage.freeze()
+    if not any(edge[2].code in _REPLACEMENTS for edge in passage._edges):
+        return passage
+    fresh = object.__new__(type(passage))
+    fresh.__dict__.update(passage.__dict__)  # copy.copy, without importing copy
+    fresh._edges = edges = []
+    fresh._in = {}  # its edges are not the input's
+    fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in passage._nodes}
+    for edge in passage._edges:
+        parent, child, category, remote = edge
+        mapped = _REPLACEMENTS.get(category.code)
+        if mapped is not None:
+            edge = _new(Edge, (parent, child, mapped, remote))
+        children = out[parent]
+        if remote and edge in children:
+            continue
+        edges.append(edge)
+        children.append(edge)
+    fresh._seal()
+    return fresh
 
 
 def yield_positions(mask: int) -> tuple[int, ...]:

@@ -1,9 +1,8 @@
-"""Label normalization and well-formedness checks.
+"""Well-formedness checks.
 
-Normalization rewrites the legacy Time/Quantifier labels to Adverbial and
-Elaborator.  Validation checks annotation-guideline rules that go beyond
-the raw graph invariants enforced at freeze time; violations are data, not
-errors, so third-party outputs remain scorable.
+Validation checks annotation-guideline rules that go beyond the raw graph
+invariants enforced at freeze time; violations are data, not errors, so
+third-party outputs remain scorable.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .categories import LEGACY, PUNCT_CODE
-from .graph import Passage, is_punctuation
+from .graph import Passage, is_punctuation, normalize  # noqa: F401 (perfbench/traced.py calls validation.normalize)
 from .records import Record
 
 RULES = {
@@ -68,20 +67,6 @@ class ValidationReport(Record):
             )
             for v in self.violations
         )
-
-
-def normalize(passage: Passage) -> Passage:
-    """Relabel every T edge to D and every Q edge to E.
-
-    An unsealed input is frozen first.  Returns a new sealed passage that
-    shares the input's nodes and yields, with fresh edges; everything except
-    the legacy category codes is preserved, and the input keeps its labels.
-    Idempotent, and a no-op passage is returned as is.
-    """
-    passage.freeze()
-    if not any(e.category.is_legacy() for e in passage.edges):
-        return passage
-    return passage.relabeled()
 
 
 def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport:

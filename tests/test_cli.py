@@ -624,9 +624,9 @@ CLI_MODULES = {"uccakit", "uccakit.cli", "uccakit.formats", "uccakit.graph",
 
 #: The uccakit modules each subcommand loads beyond CLI_MODULES.
 COMMAND_MODULES = {
-    "evaluate": {"uccakit.evaluation", "uccakit.validation", "uccakit.records"},
+    "evaluate": {"uccakit.evaluation", "uccakit.records"},
     "validate": {"uccakit.validation", "uccakit.records"},
-    "normalize": {"uccakit.validation", "uccakit.records"},
+    "normalize": set(),
     "stats": {"uccakit.stats", "uccakit.records"},
     "convert": set(),
 }

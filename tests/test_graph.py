@@ -22,7 +22,7 @@ from uccakit.errors import (
 )
 from uccakit.evaluation import score_passage
 from uccakit.formats import parse_xml, serialize_xml
-from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage
+from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage, normalize
 from uccakit.stats import corpus_stats
 
 from .helpers import (
@@ -589,7 +589,7 @@ class TestReentrancy:
     def test_derived_reads_match_reference_lists(self, seed, remotes, legacy_labels):
         # incoming and is_reentrant read a table built on the first ask, and
         # the reentrancy count the edge tuple; the reference assembly keeps a
-        # list of incoming edges per node.  The relabeled copy is read after
+        # list of incoming edges per node.  The normalized copy is read after
         # its source, whose table it must not share.
         p = random_passage(random.Random(seed), max_units=4, max_remotes=6 if remotes else 0,
                            legacy_labels=legacy_labels)
@@ -605,8 +605,9 @@ class TestReentrancy:
                 assert passage.is_reentrant(nid) == (len(incoming) >= 2)
             reentrant = sum(len(incoming) >= 2 for incoming in lists.values())
             assert corpus_stats([passage]).reentrant == reentrant
-            if passage is p:  # once p's table is filled
-                passages.append(p.relabeled())
+            # Once p's table is filled; a passage without T/Q normalizes to itself.
+            if passage is p and (normalized := normalize(p)) is not p:
+                passages.append(normalized)
 
 
 @settings(max_examples=200)

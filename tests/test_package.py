@@ -57,6 +57,13 @@ def test_name_is_its_home_modules_object(name):
     assert getattr(sys.modules[value.__module__], name) is value
 
 
+def test_normalize_has_one_definition():
+    import uccakit.graph
+    import uccakit.validation
+
+    assert uccakit.normalize is uccakit.graph.normalize is uccakit.validation.normalize
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         uccakit.no_such_name
