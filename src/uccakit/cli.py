@@ -17,6 +17,7 @@ with the first difference), 4 validation violations under --strict.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -71,6 +72,14 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _stems(stems: set[str]) -> str:
+    """Sorted stems as a list; past three, the first three and how many more."""
+    listed = [repr(stem) for stem in sorted(stems)]
+    if len(listed) > 3:  # a list of every stem can run to kilobytes
+        listed[3:] = [f"... ({len(listed) - 3} more)"]
+    return f"[{', '.join(listed)}]"
+
+
 def _cmd_evaluate(args) -> int:
     from . import evaluation
 
@@ -81,12 +90,8 @@ def _cmd_evaluate(args) -> int:
         gold = {p.stem: p for p in _xml_files(gold_path)}
         system = {p.stem: p for p in _xml_files(system_path)}
     if set(gold) != set(system):
-        only_gold = sorted(set(gold) - set(system))
-        only_system = sorted(set(system) - set(gold))
-        print(
-            f"unpaired files (gold only: {only_gold}, system only: {only_system})",
-            file=sys.stderr,
-        )
+        print(f"unpaired files (gold only: {_stems(gold.keys() - system)}, "
+              f"system only: {_stems(system.keys() - gold)})", file=sys.stderr)
         return EXIT_USAGE
 
     scores = evaluation.EvalScores()
@@ -143,8 +148,9 @@ def _cmd_normalize(args) -> int:
 def _cmd_stats(args) -> int:
     from . import stats
 
-    for k, name in enumerate(args.input):  # columns are keyed by path
-        if name in args.input[:k]:
+    resolved = [os.path.realpath(name) for name in args.input]  # ./d and d/ are d
+    for k, name in enumerate(args.input):  # columns are keyed by path as given
+        if resolved[k] in resolved[:k]:
             print(f"{name}: given more than once", file=sys.stderr)
             return EXIT_USAGE
     reports = {
@@ -239,5 +245,15 @@ def main(argv=None) -> int:
         return EXIT_TOKEN_MISMATCH
 
 
+def run() -> int:
+    """The process entry (`uccakit`, `python -m uccakit.cli`): main() with the
+    cyclic collector off, as no command leaves a reference cycle per passage,
+    then the heap frozen, so that the collections at interpreter exit skip it."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

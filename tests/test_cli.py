@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -20,6 +21,8 @@ from uccakit.validation import normalize
 
 from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, random_passage, rebuild, relabel
 from .samples import implicit_sample, remote_sample
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -133,6 +136,21 @@ class TestEvaluate:
                            "--system", str(degraded_dir))
         assert code == 1
         assert err == "unpaired files (gold only: [], system only: ['two'])\n"
+
+    @pytest.mark.parametrize("only_gold, only_system, message", [
+        (3, 0, "gold only: ['g00', 'g01', 'g02'], system only: []"),
+        (4, 1, "gold only: ['g00', 'g01', 'g02', ... (1 more)], system only: ['s00']"),
+        (99, 5, "gold only: ['g00', 'g01', 'g02', ... (96 more)], "
+                "system only: ['s00', 's01', 's02', ... (2 more)]"),
+    ], ids=["three", "four", "ninety-nine"])
+    def test_unpaired_stems_shortened(self, capsys, tmp_path, only_gold, only_system, message):
+        for side, count in (("g", only_gold), ("s", only_system)):
+            directory = tmp_path / side
+            directory.mkdir()
+            for name in ["paired", *(f"{side}{k:02}" for k in range(count))]:
+                (directory / f"{name}.xml").write_text("")  # never read: pairing comes first
+        code, _, err = run(capsys, "evaluate", "--gold", str(tmp_path / "g"), "--system", str(tmp_path / "s"))
+        assert (code, err) == (1, f"unpaired files ({message})\n")
 
     def test_parse_error_names_file(self, capsys, corpus_dir, tmp_path):
         broken = tmp_path / "broken"
@@ -360,16 +378,21 @@ class TestStats:
         assert out.splitlines()[0].split() == [str(d) for d in dirs]
         assert out == stats.render_table(self.as_read(*dirs)) + "\n"
 
-    @pytest.mark.parametrize("inputs", [("gold", "gold"), ("gold", "gold/one.xml", "gold")])
+    @pytest.mark.parametrize("inputs", [
+        ("gold", "gold"), ("gold", "gold/one.xml", "gold"), ("gold", "./gold"), ("gold", "gold/"),
+        ("./gold", "gold/one.xml", "gold/"), ("{absolute}", "gold"), ("gold", "link"),
+    ])
     def test_repeated_input_refused_before_reading(self, capsys, corpus_dir, monkeypatch, inputs):
         def no_read(path):
             raise AssertionError(f"read {path}")
 
+        (corpus_dir.parent / "link").symlink_to("gold")
+        monkeypatch.chdir(corpus_dir.parent)
         monkeypatch.setattr(Path, "read_bytes", no_read)
-        names = [str(corpus_dir.parent / name) for name in inputs]
+        names = [name.format(absolute=corpus_dir) for name in inputs]
         code, out, err = run(capsys, "stats", *names)
         assert (code, out) == (1, "")
-        assert err == f"{names[0]}: given more than once\n"
+        assert err == f"{names[-1]}: given more than once\n"  # the later spelling
 
     def test_missing_directory(self, capsys, corpus_dir, tmp_path):
         missing = tmp_path / "missing"
@@ -377,6 +400,13 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert err == f"{missing}: does not exist\n"
+
+    def test_symlink_loop(self, capsys, corpus_dir, tmp_path):
+        # The repeated-input check resolves each path; a loop resolves to no file.
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        code, out, err = run(capsys, "stats", str(corpus_dir), str(tmp_path / "a"))
+        assert (code, out, err) == (2, "", f"{tmp_path / 'a'}: does not exist\n")
 
     def test_malformed_file_names_file(self, capsys, corpus_dir, tmp_path):
         broken = tmp_path / "broken"
@@ -564,13 +594,18 @@ def legacy_corpus(directory: Path, passage_id: str = "1") -> Path:
     return directory
 
 
-def run_module(argv: list[str], env: dict[str, str] | None = None, **kwargs):
-    """`python -m uccakit.cli` run on argv in a fresh interpreter that
-    imports this uccakit, with `env` added to the environment."""
+def run_python(args: list[str], env: dict[str, str] | None = None, **kwargs):
+    """A fresh interpreter that imports this uccakit run on args, with `env`
+    added to the environment."""
     src = str(Path(cli.__file__).parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **(env or {})}
-    return subprocess.run([sys.executable, "-m", "uccakit.cli", *argv], env=env, timeout=60, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+def run_module(argv: list[str], env: dict[str, str] | None = None, **kwargs):
+    """`python -m uccakit.cli` run on argv, as run_python runs it."""
+    return run_python(["-m", "uccakit.cli", *argv], env, **kwargs)
 
 
 class TestClosedOutput:
@@ -632,6 +667,18 @@ COMMAND_MODULES = {
 }
 
 
+def command_argv(command: str, corpus: Path, out: Path) -> list[str]:
+    """An argv that runs `command` over `corpus` (both sides, for evaluate),
+    writing under `out`."""
+    return [command, *{
+        "evaluate": ["--gold", str(corpus), "--system", str(corpus)],
+        "validate": [str(corpus)],
+        "normalize": [str(corpus), "--out", str(out)],
+        "stats": [str(corpus)],
+        "convert": [str(corpus), "--to", "bilexical", "--out", str(out)],
+    }[command]]
+
+
 def loaded_modules(probe: str, *argv: str) -> set[str]:
     """The modules a fresh `-S` interpreter holds after running `probe`,
     which writes them to stderr."""
@@ -665,19 +712,98 @@ class TestImportCost:
 
     @pytest.mark.parametrize("command", list(COMMAND_MODULES))
     def test_subcommand_loads_only_its_modules(self, command, corpus_dir, tmp_path):
-        argv = {
-            "evaluate": ["--gold", str(corpus_dir), "--system", str(corpus_dir)],
-            "validate": [str(corpus_dir)],
-            "normalize": [str(corpus_dir), "--out", str(tmp_path / "out")],
-            "stats": [str(corpus_dir)],
-            "convert": [str(corpus_dir), "--to", "bilexical", "--out", str(tmp_path / "out")],
-        }[command]
-        probe = ("import sys, uccakit.cli; code = uccakit.cli.main(sys.argv[1:]); "
+        probe = ("import sys, uccakit.cli; code = uccakit.cli.run(); "
                  "sys.stderr.write(' '.join(sys.modules)); sys.exit(code)")
-        loaded = loaded_modules(probe, command, *argv)
+        loaded = loaded_modules(probe, *command_argv(command, corpus_dir, tmp_path / "out"))
         self.assert_lean(loaded)
         assert {name for name in loaded if name.startswith("uccakit")} == CLI_MODULES | COMMAND_MODULES[command]
         assert "json" not in loaded  # only a printed payload needs it
+
+
+class TestProcessEntry:
+    """A process runs run(): main() with the cyclic collector off, then the
+    heap frozen for the interpreter's exit.  main() itself is called in
+    process by tests, scripts and library users, so it changes neither."""
+
+    @pytest.fixture
+    def corpora(self, tmp_path) -> tuple[Path, Path]:
+        """A directory of one passage and one of twelve, with legacy labels,
+        so that every command has work to do on each passage."""
+        one, twelve = tmp_path / "one", tmp_path / "twelve"
+        for directory, count in ((one, 1), (twelve, 12)):
+            directory.mkdir()
+            for k in range(count):
+                p = random_passage(random.Random(k), f"p{k}", max_tokens=12, legacy_labels=True)
+                (directory / f"p{k}.xml").write_bytes(serialize_xml(p))
+        return one, twelve
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    def test_no_reference_cycle_per_passage(self, capsys, tmp_path, corpora, command):
+        def garbage(corpus: Path) -> int:
+            assert cli.main(command_argv(command, corpus, tmp_path / "out")) == cli.EXIT_OK
+            capsys.readouterr()
+            return gc.collect()
+
+        garbage(corpora[0])  # imports the command's modules
+        gc.collect()
+        gc.disable()
+        try:
+            found = [garbage(corpus) for corpus in corpora]
+        finally:
+            gc.enable()
+        # What a command leaves in cycles (argparse's parser) does not grow
+        # with the corpus, so run() may leave the collector off throughout.
+        assert found[0] == found[1]
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    def test_main_leaves_the_collector_as_found(self, capsys, corpus_dir, tmp_path, command):
+        frozen, states = gc.get_freeze_count(), []
+        try:
+            for switch in (gc.disable, gc.enable):
+                switch()
+                cli.main(command_argv(command, corpus_dir, tmp_path / "out"))
+                states.append((gc.isenabled(), gc.get_freeze_count()))
+        finally:
+            gc.enable()
+        assert states == [(False, frozen), (True, frozen)]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["evaluate", "--gold", "{gold}", "--system", "{system}", "--fine-grained"], cli.EXIT_OK),
+        (["validate", "{legacy}", "--strict"], cli.EXIT_VIOLATIONS),
+        (["validate", "{broken}", "--json"], cli.EXIT_PARSE),
+        (["normalize", "{legacy}", "--out", "{out}"], cli.EXIT_OK),
+        (["stats", "{gold}", "{system}"], cli.EXIT_OK),
+        (["convert", "{gold}", "--to", "bilexical", "--out", "{out}"], cli.EXIT_OK),
+    ], ids=["evaluate", "validate-strict", "validate-malformed", "normalize", "stats", "convert"])
+    def test_module_runs_as_main(self, capsys, tmp_path, corpus_dir, degraded_dir, argv, code):
+        legacy = legacy_corpus(tmp_path / "legacy")
+        (tmp_path / "broken").mkdir()
+        (tmp_path / "broken" / "bad.xml").write_text("<root")
+
+        def filled(out: Path) -> list[str]:
+            return [a.format(gold=corpus_dir, system=degraded_dir, legacy=legacy,
+                             broken=tmp_path / "broken", out=out) for a in argv]
+
+        def written(out: Path) -> dict[Path, bytes]:
+            return {f.relative_to(out): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+
+        in_process = run(capsys, *filled(tmp_path / "main"))
+        done = run_module(filled(tmp_path / "module"), capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == in_process
+        assert in_process[0] == code
+        assert written(tmp_path / "module") == written(tmp_path / "main")
+
+    def test_console_script(self, capsys, corpus_dir):
+        scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n")[1].split("\n\n")[0]
+        assert scripts.splitlines() == ['uccakit = "uccakit.cli:run"']
+        # As setuptools' wrapper calls it, and what the interpreter then runs
+        # at exit: atexit handlers first, then the final collections.
+        probe = ("import atexit, gc, sys; from uccakit.cli import run; "
+                 "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)); "
+                 "sys.exit(run())")
+        done = run_python(["-c", probe, "stats", str(corpus_dir)], capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == run(capsys, "stats", str(corpus_dir))[:2]
+        assert done.stderr == "False True\n"
 
 
 class TestUsage:
