@@ -6,9 +6,10 @@ OLD_SRC and NEW_SRC are directories holding the ``uccakit`` package (a
 checkout's ``src``).  The seed-1 gold and system corpora of every benchmark
 workload are generated once with ``perfbench/corpus.py``; each side then runs
 the same list of commands in one fresh child process, calling ``cli.main``
-in process.  Stdout, stderr, exit codes and the files each command writes are
-compared.  Exit 0 if all are identical, 1 naming the first command that
-differs.
+in process: the standard invocations, which exit 0 or 4, and four per
+workload that exit 1, 2, 2 and 3 on inputs written beside the corpora.
+Stdout, stderr, exit codes and the files each command writes are compared.
+Exit 0 if all are identical, 1 naming the first command that differs.
 """
 from __future__ import annotations
 
@@ -48,6 +49,26 @@ def commands(gold: str, system: str, out: str) -> list[list[str]]:
     ]
 
 
+def failing_commands(pairs: list, gold: Path, system: Path, inputs: Path) -> list[list[str]]:
+    """Commands that exit 1, 2, 2 and 3 on one workload's corpora, with the
+    inputs they need written under `inputs`."""
+    lone = inputs / "one-system-file"  # every other gold file is left unpaired
+    lone.mkdir(parents=True)
+    first = sorted(system.glob("*.xml"))[0]
+    (lone / first.name).write_bytes(first.read_bytes())
+    whole = sorted(gold.glob("*.xml"))[0].read_bytes()
+    (inputs / "half.xml").write_bytes(whole[:len(whole) // 2])
+    _, pair_gold = pairs[0]
+    other = next(s for s, _ in pairs if len(s.tokens) != len(pair_gold.tokens))  # another length
+    return [
+        ["evaluate", "--gold", str(gold), "--system", str(lone)],
+        ["validate", str(inputs / "missing.xml")],
+        ["validate", str(inputs / "half.xml")],
+        ["evaluate", "--gold", str(gold / f"{pair_gold.pid}.xml"),
+         "--system", str(system / f"{other.pid}.xml")],
+    ]
+
+
 def run_side(src: str, work: str, argvs: list[list[str]]) -> list[tuple]:
     """In a fresh process with `work` as its directory: each command's exit
     code, stdout, stderr and the files it wrote, by path."""
@@ -83,8 +104,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         argvs = []
         for name, workload in sorted(corpus.WORKLOADS.items()):
-            gold, system = corpus.write_corpus(corpus.generate(workload, SEED), Path(tmp, "corpora", name))
+            pairs = corpus.generate(workload, SEED)
+            gold, system = corpus.write_corpus(pairs, Path(tmp, "corpora", name))
             argvs += commands(str(gold), str(system), f"out/{name}")
+            argvs += failing_commands(pairs, gold, system, Path(tmp, "inputs", name))
         for side, src in (("old", args.old_src), ("new", args.new_src)):
             work = Path(tmp, side)
             work.mkdir()

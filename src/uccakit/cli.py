@@ -3,10 +3,11 @@
 Subcommands: evaluate, validate, normalize, stats, convert.  Inputs are
 passage XML files or directories of them.  evaluate pairs gold and system files
 by stem, or two given files with each other; stats takes each input once.  Exit
-codes: 0 success, 1 usage error (such as a stats input given twice, path named
-on stderr), output closed early (`| head`), output that stdout cannot encode, or
-an output path that cannot be written (path named on stderr), 2 parse error, or
-an input that is missing, a directory holding no *.xml file, or neither a regular
+codes: 0 success, 1 usage error (such as a stats input given twice, or a normalize
+--out that is the input's directory, path named on stderr), output closed early
+(`| head`), output that stdout cannot encode, or an output path that cannot be
+written (path named on stderr), 2 parse error (a DOCTYPE is refused), or an
+input that is missing, a directory holding no *.xml file, or neither a regular
 file nor a directory (a FIFO or a device, never opened; a directory's *.xml
 entries must be regular files), or, for convert, a token holding a tab or a line
 break (no output written for that input), or, for validate without --json, a
@@ -137,9 +138,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    out_dir = Path(args.out)
+    source, out_dir = Path(args.input), Path(args.out)
+    if os.path.realpath(out_dir) == os.path.realpath(source.parent if source.is_file() else source):
+        print(f"{args.out}: is the input's directory, which normalize would overwrite", file=sys.stderr)
+        return EXIT_USAGE
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in _xml_files(Path(args.input)):
+    for path in _xml_files(source):
         passage = normalize(_load(path))
         (out_dir / path.name).write_bytes(formats.serialize_xml(passage))
     return EXIT_OK

@@ -32,7 +32,8 @@ and defines token positions.  The root unit is the unique layer-1 node
 with no incoming edge, and it is not implicit.
 
 parse_xml reads with pyexpat, keeping only the elements above: it accepts
-what ElementTree did, and refuses the rest with ElementTree's messages.
+what ElementTree did, and refuses the rest with ElementTree's messages.  It
+refuses a DOCTYPE, so no entity but XML's five predefined ones is expanded.
 
 The bi-lexical export is lossy by design: remote edges and implicit nodes
 are dropped, and each unit is collapsed onto one lexical head by the rule
@@ -52,9 +53,10 @@ from .graph import Edge, NodeId, NodeKind, Passage, is_punctuation
 
 def parse_xml(document: bytes | str) -> Passage:
     """Read one passage document and return it sealed."""
-    root_tag, root = _read_elements(document)
-    if root_tag != "root" or "passageID" not in root[0]:
+    roots = _read_elements(document)
+    if not roots or "passageID" not in roots[0][0]:
         raise XmlFormatError("expected a <root passageID=...> document element")
+    root, = roots
     passage_id = root[0]["passageID"]
 
     layers = {}
@@ -118,14 +120,16 @@ def parse_xml(document: bytes | str) -> Passage:
     return Passage.assemble(passage_id, tokens, root_id, others, edges)
 
 
-def _read_elements(document: bytes | str) -> tuple[str, list]:
-    """The document element's tag and record.  A record is [attributes,
-    the first <attributes> child's attributes or None, records of the
-    children with the collected tag, that tag]: only a <layer> under the
-    document element, a <node> under it and an <edge> under that get one."""
+def _read_elements(document: bytes | str) -> list:
+    """The records of the document element if it is a <root>: one or none.
+    A record is [attributes, the first <attributes> child's attributes or
+    None, records of the children with the collected tag, that tag]: only
+    a <root> document element, a <layer> under it, a <node> under that and
+    an <edge> under that get one."""
     parser = ParserCreate(namespace_separator="}")  # as ElementTree's
-    found, open_records = [], []  # a skipped element's record is None
-    child_tag = {"layer": "node", "node": "edge"}.get  # collected under a tag
+    top = [None, None, [], "root"]  # the document's record, parent of its element's
+    open_records = [top]  # a skipped element's record is None
+    child_tag = {"root": "layer", "layer": "node", "node": "edge"}.get  # collected under a tag
 
     def start(tag, attrs):
         parent, record = open_records[-1], None
@@ -137,34 +141,17 @@ def _read_elements(document: bytes | str) -> tuple[str, list]:
                 parent[1] = attrs
         open_records.append(record)
 
-    def start_document(tag, attrs):
-        found[:] = tag, [attrs, None, [], "layer"]
-        open_records.append(found[1])
-        parser.StartElementHandler = start
+    def refuse_doctype(name, *_):
+        raise XmlFormatError(f"DOCTYPE {shown(name)!r} not allowed in passage XML")
 
-    def start_doctype(*_):
-        # Past a DOCTYPE, expat hands an entity reference that it cannot
-        # expand (undeclared under an external DTD part, or external) to
-        # the default handler, where ElementTree refuses it.
-        parser.CharacterDataHandler = lambda data: None  # keeps &amp; and &#38; away
-        parser.DefaultHandlerExpand = refuse_entity
-
-    def refuse_entity(data):
-        if data.startswith("&"):
-            text = data.encode()[:100].decode(errors="replace")  # ElementTree's cut
-            raise XmlSyntax(f"malformed XML: undefined entity {text}: line "
-                            f"{parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}")
-
-    parser.StartElementHandler = start_document
+    parser.StartElementHandler = start
     parser.EndElementHandler = lambda tag: open_records.pop()
-    parser.StartDoctypeDeclHandler = start_doctype
+    parser.StartDoctypeDeclHandler = refuse_doctype
     try:
         parser.Parse(document, True)
     except (ExpatError, LookupError, ValueError) as exc:  # the latter two: bad encoding
         raise XmlSyntax(f"malformed XML: {exc}") from None
-    finally:  # these handlers refer back to the parser: no cycle is left to collect
-        parser.StartElementHandler = parser.StartDoctypeDeclHandler = parser.DefaultHandlerExpand = None
-    return found[0], found[1]
+    return top[2]
 
 
 #: Attribute value escapes, the same as ElementTree's.

@@ -60,15 +60,15 @@ class NodeKind(Enum):
 class NodeId(namedtuple("NodeId", "layer index")):
     """A node address, rendered as "layer.index" (e.g. "0.3", "1.1").
 
-    A ``(layer, index)`` tuple, so hashing, equality and ordering run in C;
-    it compares equal to the plain tuple with the same fields.
+    A ``(layer, index)`` tuple of two ints, not bools, so hashing, equality
+    and ordering run in C; a passage refuses the equal plain tuple as an id.
     """
 
     __slots__ = ()
 
     def __new__(cls, layer: int, index: int) -> "NodeId":
-        if layer < 0 or index < 1:
-            raise GraphError(f"bad node id: {shown(f'{layer}.{index}')}")
+        if type(layer) is not int or type(index) is not int or layer < 0 or index < 1:  # not bool
+            raise GraphError(f"bad node id: {shown(f'{layer!r}.{index!r}')}")
         return tuple.__new__(cls, (layer, index))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -146,7 +146,9 @@ class Passage:
         self._yields: dict[NodeId, int] = {}
         # Each node's incoming edges, kept from a sealed passage's first ask.
         self._in: dict[NodeId, tuple[Edge, ...]] = {}
-        self.root = root_id or NodeId(UNIT_LAYER, 1)
+        self.root = NodeId(UNIT_LAYER, 1) if root_id is None else root_id
+        if type(self.root) is not NodeId:
+            raise GraphError(f"not a NodeId: {shown(self.root)!r}")
         if self.root.layer != UNIT_LAYER:
             raise GraphError(f"root must live in layer {UNIT_LAYER}: {shown(self.root)}")
         self._add_units([(self.root, NodeKind.NON_TERMINAL)])
@@ -374,6 +376,8 @@ class Passage:
         nodes, out = self._nodes, self._out
         top = self._max_unit_index
         for node_id, kind in units:
+            if type(node_id) is not NodeId:
+                raise GraphError(f"not a NodeId: {shown(node_id)!r}")
             if kind is NodeKind.TERMINAL:
                 raise GraphError("terminals are fixed by the token sequence")
             if node_id in nodes:
@@ -393,6 +397,8 @@ class Passage:
         nodes, out, has_parent, append = self._nodes, self._out, self._has_parent, self._edges.append
         for edge in edges:
             parent, child, category, remote = edge
+            if type(parent) is not NodeId or type(child) is not NodeId:
+                raise GraphError(f"not a NodeId: {shown(child if type(parent) is NodeId else parent)!r}")
             if category not in _REGISTERED:
                 raise UnknownCategory(f"unregistered category: {shown(category)!r}")
             try:

@@ -348,11 +348,20 @@ def reference_export_bilexical(passage: Passage) -> list[BilexicalRow]:
 # -- reference XML reader -------------------------------------------------
 
 
+class _RefusingTreeBuilder(ET.TreeBuilder):
+    """ElementTree's tree builder, refusing a DOCTYPE as parse_xml does."""
+
+    def doctype(self, name, pubid, system):
+        raise XmlFormatError(f"DOCTYPE {shown(name)!r} not allowed in passage XML")
+
+
 def reference_parse_xml(document: bytes | str) -> Passage:
     """The ElementTree reader that formats.parse_xml replaced, kept as the
     oracle whose passages and errors it must match."""
+    parser = ET.XMLParser(target=_RefusingTreeBuilder())
     try:
-        root = ET.fromstring(document)
+        parser.feed(document)
+        root = parser.close()
     except (ET.ParseError, LookupError, ValueError) as exc:  # the latter two: bad encoding
         raise XmlSyntax(f"malformed XML: {exc}") from None
     if root.tag != "root" or "passageID" not in root.attrib:

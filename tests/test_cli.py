@@ -322,6 +322,19 @@ class TestOverlongNodeId:
 
 
 class TestNormalize:
+    @pytest.mark.parametrize("input_name, out_name", [
+        ("d", "d"), ("d", "./d/"), ("d/a.xml", "d"),
+    ], ids=["same", "other-spelling", "file-in-it"])
+    def test_refuses_to_overwrite_its_input(self, capsys, tmp_path, monkeypatch, input_name, out_name):
+        (tmp_path / "d").mkdir()
+        document = serialize_xml(remote_sample()).replace(b"<root ", b'<root annotationID="3" ')
+        (tmp_path / "d" / "a.xml").write_bytes(document)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "normalize", input_name, "--out", out_name)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"{out_name}: is the input's directory, which normalize would overwrite\n"
+        assert (tmp_path / "d" / "a.xml").read_bytes() == document
+
     def test_writes_relabeled_files(self, capsys, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
@@ -677,6 +690,25 @@ def command_argv(command: str, corpus: Path, out: Path) -> list[str]:
         "stats": [str(corpus)],
         "convert": [str(corpus), "--to", "bilexical", "--out", str(out)],
     }[command]]
+
+
+class TestDoctypeRefused:
+    """A passage document with a DOCTYPE is refused by name: its entities
+    and defaulted attributes would change the passage read."""
+
+    DOCTYPE = b'<!DOCTYPE root [<!ENTITY w "John"><!ATTLIST edge type CDATA "A">]>\n'
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    def test_names_file_and_writes_nothing(self, capsys, tmp_path, command):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        declaration, _, rest = serialize_xml(remote_sample()).partition(b"\n")
+        (corpus / "dtd.xml").write_bytes(declaration + b"\n" + self.DOCTYPE + rest)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *command_argv(command, corpus, out))
+        assert (code, stdout) == (cli.EXIT_PARSE, "")
+        assert err == f"{corpus / 'dtd.xml'}: DOCTYPE 'root' not allowed in passage XML\n"
+        assert not out.exists() or not any(out.iterdir())
 
 
 def loaded_modules(probe: str, *argv: str) -> set[str]:

@@ -529,6 +529,15 @@ UNDECLARED_ENTITY = with_doctype(MINIMAL, '<!DOCTYPE root SYSTEM "root.dtd">').r
     b'<attributes text="hi"/>', b'<attributes text="hi"/>&undeclared;')
 EXTERNAL_ENTITY = with_doctype(MINIMAL, '<!DOCTYPE root [<!ENTITY e SYSTEM "e.xml">]>').replace(
     b"</root>", b"&e;</root>")
+INTERNAL_ENTITY = with_doctype(MINIMAL, '<!DOCTYPE root [<!ENTITY hi "hi">]>').replace(
+    b'"hi"/>', b'"&hi;"/>')
+#: An entity in a token and a defaulted edge type: read, they would change the passage.
+ENTITY_AND_DEFAULT = with_doctype(
+    MINIMAL, '<!DOCTYPE root [<!ENTITY w "John"><!ATTLIST edge type CDATA "A">]>').replace(
+    b'"hi"/>', b'"&w;"/>')
+
+#: How both readers refuse a document with a DOCTYPE named root.
+DOCTYPE_REFUSED = (XmlFormatError, "DOCTYPE 'root' not allowed in passage XML")
 
 
 class TestReaderMatchesReference:
@@ -557,9 +566,8 @@ class TestReaderMatchesReference:
             MINIMAL.decode(),
             b"\xef\xbb\xbf" + MINIMAL,
             MINIMAL.decode().replace("utf-8", "utf-16").encode("utf-16"),
-            with_doctype(MINIMAL, '<!DOCTYPE root [<!ENTITY hi "hi">]>').replace(b'"hi"/>', b'"&hi;"/>'),
         ],
-        ids=["str", "bom", "utf-16", "internal-entity"],
+        ids=["str", "bom", "utf-16"],
     )
     def test_read(self, document):
         assert outcome(parse_xml, document) == outcome(reference_parse_xml, document)
@@ -570,13 +578,21 @@ class TestReaderMatchesReference:
         [
             (MINIMAL.replace(b"<root ", b'<root xmlns="urn:x" '), XmlFormatError,
              "expected a <root passageID=...> document element"),
-            (UNDECLARED_ENTITY, XmlSyntax,
-             "malformed XML: undefined entity &undeclared;: line 5, column 54"),
-            (EXTERNAL_ENTITY, XmlSyntax, "malformed XML: undefined entity &e;: line 10, column 0"),
+            (UNDECLARED_ENTITY, *DOCTYPE_REFUSED),
+            (EXTERNAL_ENTITY, *DOCTYPE_REFUSED),
             (MINIMAL.replace(b"</root>", b"&e;</root>"), XmlSyntax,
              "malformed XML: undefined entity: line 9, column 0"),
+            (INTERNAL_ENTITY, *DOCTYPE_REFUSED),
+            (ENTITY_AND_DEFAULT, *DOCTYPE_REFUSED),
+            *((with_doctype(MINIMAL, doctype), *DOCTYPE_REFUSED) for doctype in DOCTYPES),
+            (with_doctype(MINIMAL, "<!DOCTYPE html>"), XmlFormatError,
+             "DOCTYPE 'html' not allowed in passage XML"),
+            (with_doctype(MINIMAL, f"<!DOCTYPE {'d' * 40}>"), XmlFormatError,
+             "DOCTYPE 'dddddddddddd... (40 characters)' not allowed in passage XML"),
         ],
-        ids=["namespaced-root", "undeclared-entity", "external-entity", "entity-without-doctype"],
+        ids=["namespaced-root", "undeclared-entity", "external-entity", "entity-without-doctype",
+             "internal-entity", "entity-and-default", *(f"doctype-{k}" for k in range(len(DOCTYPES))),
+             "other-name", "long-name"],
     )
     def test_refused(self, document, error, message):
         assert outcome(parse_xml, document) == outcome(reference_parse_xml, document) == (error, message)
@@ -591,12 +607,12 @@ class TestReaderMatchesReference:
 
 
 class TestNoReferenceCycle:
-    """The reader's handlers that refer back to the parser are cleared once
-    it ends, so a parse leaves nothing for the cyclic garbage collector."""
+    """No handler of the reader refers back to the parser, so a parse, read
+    or refused, leaves nothing for the cyclic garbage collector."""
 
     @pytest.mark.parametrize("document, refused", [
         (MINIMAL, False),
-        (with_doctype(MINIMAL, '<!DOCTYPE root [<!ENTITY hi "hi">]>').replace(b'"hi"/>', b'"&hi;"/>'), False),
+        (INTERNAL_ENTITY, True),
         (MINIMAL[:-20], True),
         (UNDECLARED_ENTITY, True),
     ], ids=["plain", "internal-doctype", "truncated", "undeclared-entity"])
@@ -607,7 +623,7 @@ class TestNoReferenceCycle:
             try:
                 parse_xml(document)
                 raised = False
-            except XmlSyntax:
+            except XmlFormatError:
                 raised = True
             assert (raised, gc.collect()) == (refused, 0)
         finally:

@@ -108,6 +108,22 @@ class TestBuildPassage:
         with pytest.raises(GraphError, match=r"^root must live in layer 1: 0\.1$"):
             Passage("p", ["a"], root_id=NodeId(0, 1))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: NodeId(1, 2.0), "bad node id: 1.2.0"),
+        (lambda: NodeId(1, True), "bad node id: 1.True"),
+        (lambda: NodeId("1", 2), "bad node id: '1'.2"),
+        (lambda: Passage.assemble("p", ["a"], NodeId(1, 1), [((1, 2), NodeKind.NON_TERMINAL)], []),
+         "not a NodeId: (1, 2)"),
+        (lambda: Passage("p", ["a"], root_id=(1, 1)), "not a NodeId: (1, 1)"),
+        (lambda: build_passage("p", ["a"]).add_edge(NodeId(1, 1), (0, 1), "A"), "not a NodeId: (0, 1)"),
+    ], ids=["float-index", "bool-index", "str-layer", "tuple-unit", "tuple-root", "tuple-child"])
+    def test_id_that_cannot_be_written_back_refused(self, build, message):
+        """Each of these ids would print as no "layer.index" that parse_xml
+        reads; a tuple compares equal to the NodeId with its fields."""
+        with pytest.raises(GraphError) as raised:
+            build()
+        assert str(raised.value) == message
+
     def test_repr_names_state_and_sizes(self):
         p = build_passage("p", ["x", "y"])
         p.add_edge(p.root, p.terminal_id(1), "A")

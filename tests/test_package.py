@@ -1,4 +1,5 @@
 """The package namespace: public names resolved on first use (PEP 562)."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -62,6 +63,16 @@ def test_normalize_has_one_definition():
     import uccakit.validation
 
     assert uccakit.normalize is uccakit.graph.normalize is uccakit.validation.normalize
+
+
+def test_dir_lists_every_name_before_first_use():
+    """A fresh module object run from the package's own file, in this
+    process: no public name is bound yet, and dir() lists them all."""
+    spec = importlib.util.spec_from_file_location("uccakit", uccakit.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert not set(PUBLIC) & set(vars(fresh))
+    assert dir(fresh) == sorted({*vars(fresh), *PUBLIC})
 
 
 def test_unknown_name_raises_attribute_error_naming_it():

@@ -14,4 +14,4 @@ def test_compare_outputs_finds_a_tree_equal_to_itself():
         timeout=300,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "identical: 46 commands\n"
+    assert result.stdout == "identical: 54 commands\n"
