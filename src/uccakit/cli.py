@@ -67,6 +67,13 @@ def _load(path: Path) -> formats.Passage:
         raise _ParseFailure(path, exc) from exc
 
 
+def _write_new(path: Path, data: bytes) -> None:
+    """Create `path` anew, removing any entry there first: a symlink or hard link is replaced, not written through."""
+    path.unlink(missing_ok=True)
+    with open(path, "xb") as file:
+        file.write(data)
+
+
 def _print_json(payload) -> None:
     import json
 
@@ -144,8 +151,7 @@ def _cmd_normalize(args) -> int:
         return EXIT_USAGE
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in _xml_files(source):
-        passage = normalize(_load(path))
-        (out_dir / path.name).write_bytes(formats.serialize_xml(passage))
+        _write_new(out_dir / path.name, formats.serialize_xml(normalize(_load(path))))
     return EXIT_OK
 
 
@@ -182,7 +188,7 @@ def _cmd_convert(args) -> int:
             name, text = f"{path.stem}.txt", formats.export_text(passage) + "\n"
         else:
             name, text = f"{path.stem}.tsv", formats.render_bilexical(formats.export_bilexical(passage))
-        (out_dir / name).write_text(text, encoding="utf-8")
+        _write_new(out_dir / name, text.encode("utf-8"))
     return EXIT_OK
 
 

@@ -31,9 +31,10 @@ Each layerID appears once.  Terminal order in layer 0 is document order
 and defines token positions.  The root unit is the unique layer-1 node
 with no incoming edge, and it is not implicit.
 
-parse_xml reads with pyexpat, keeping only the elements above: it accepts
-what ElementTree did, and refuses the rest with ElementTree's messages.  It
-refuses a DOCTYPE, so no entity but XML's five predefined ones is expanded.
+parse_xml reads with pyexpat, keeping only the elements above: it reads XML
+as ElementTree did, refusing with its messages, but refuses a DOCTYPE, so no
+entity but XML's five predefined ones is expanded.  A node id is read only in
+the spelling that str(NodeId) writes: "1.02" or " 1.1 " names no node.
 
 The bi-lexical export is lossy by design: remote edges and implicit nodes
 are dropped, and each unit is collapsed onto one lexical head by the rule
@@ -79,16 +80,13 @@ def parse_xml(document: bytes | str) -> Passage:
 
     units: list[tuple[NodeId, NodeKind]] = []
     written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
-    ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by text
+    ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by the text of their ID
     for attrs, attributes, edges, _ in layers["1"]:
+        text = attrs.get("ID", "")
         try:
-            nid = NodeId.parse(attrs.get("ID", ""))
+            nid = ids[text] = NodeId.parse(text)
         except GraphError:
             raise XmlFormatError(f"bad unit ID: {shown(attrs.get('ID'))!r}") from None
-        text = str(nid)
-        if text in ids:
-            raise XmlFormatError(f"duplicate unit ID: {shown(text)}")
-        ids[text] = nid
         implicit = attributes is not None and attributes.get("implicit") == "True"
         units.append((nid, NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL))
         for attrs, attributes, _, _ in edges:
@@ -102,8 +100,7 @@ def parse_xml(document: bytes | str) -> Passage:
     ids.update((f"0.{k}", new(NodeId, (0, k))) for k in range(1, len(tokens) + 1))
     edges = []
     for nid, to_id, code, remote in written:
-        # A toID not written as str(NodeId) is parsed, then looked up.
-        child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
+        child = ids.get(to_id)
         if child is None:
             raise DanglingReference(f"edge toID={shown(to_id)} is not a declared node")
         category = CATEGORIES[code] if code in CATEGORIES else Category.from_code(code)

@@ -78,13 +78,14 @@ class NodeId(namedtuple("NodeId", "layer index")):
 
     @classmethod
     def parse(cls, text: str) -> "NodeId":
-        """Read "layer.index": ASCII digits only, leading zeros allowed."""
+        """The id whose str() is `text`: no other spelling, such as "1.02" or " 1.1 "."""
         layer, _, index = text.partition(".")
-        if text.isascii() and layer.isdigit() and index.isdigit():
-            try:
-                return cls(int(layer), int(index))
-            except ValueError:  # more digits than int() converts
-                pass
+        try:
+            nid = cls(int(layer), int(index))
+            if str(nid) == text:
+                return nid
+        except (ValueError, GraphError):  # not ints, more digits than int() reads, or out of range
+            pass
         raise GraphError(f"malformed node id: {shown(text)!r}")
 
 
@@ -147,9 +148,7 @@ class Passage:
         # Each node's incoming edges, kept from a sealed passage's first ask.
         self._in: dict[NodeId, tuple[Edge, ...]] = {}
         self.root = NodeId(UNIT_LAYER, 1) if root_id is None else root_id
-        if type(self.root) is not NodeId:
-            raise GraphError(f"not a NodeId: {shown(self.root)!r}")
-        if self.root.layer != UNIT_LAYER:
+        if type(self.root) is NodeId and self.root.layer != UNIT_LAYER:  # _add_units checks the type
             raise GraphError(f"root must live in layer {UNIT_LAYER}: {shown(self.root)}")
         self._add_units([(self.root, NodeKind.NON_TERMINAL)])
 
@@ -186,16 +185,12 @@ class Passage:
         self._add_units([(node_id, kind)])
         return node_id
 
-    def add_edge(
-        self,
-        parent: NodeId,
-        child: NodeId,
-        category: Category | str,
-        remote: bool = False,
-    ) -> None:
-        """Link one edge.  An edge that closes a cycle is refused by freeze."""
+    def add_edge(self, parent: NodeId, child: NodeId, category: Category | str, remote: bool = False) -> None:
+        """Link one edge, labelled by a code or by the registered Category of one
+        (_link refuses any other).  An edge that closes a cycle is refused by freeze."""
         self._require_mutable()
-        self._link([Edge(parent, child, Category.from_code(getattr(category, "code", category)), remote)])
+        category = Category.from_code(category) if isinstance(category, str) else category
+        self._link([Edge(parent, child, category, remote)])
 
     def freeze(self) -> "Passage":
         """Verify all passage invariants, record the bottom-up node order,
@@ -378,8 +373,9 @@ class Passage:
         for node_id, kind in units:
             if type(node_id) is not NodeId:
                 raise GraphError(f"not a NodeId: {shown(node_id)!r}")
-            if kind is NodeKind.TERMINAL:
-                raise GraphError("terminals are fixed by the token sequence")
+            if kind is not NodeKind.NON_TERMINAL and kind is not NodeKind.IMPLICIT:
+                raise GraphError("terminals are fixed by the token sequence" if kind is NodeKind.TERMINAL
+                                 else f"not a unit's NodeKind: {shown(kind)!r}")
             if node_id in nodes:
                 raise GraphError(f"node id already taken: {shown(node_id)}")
             if node_id[0] != UNIT_LAYER:

@@ -389,15 +389,13 @@ def reference_parse_xml(document: bytes | str) -> Passage:
 
     units: list[tuple[NodeId, NodeKind]] = []
     written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
-    ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by text
+    ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by the text of their ID
     for node in layers["1"].findall("node"):
         try:
             nid = NodeId.parse(node.attrib.get("ID", ""))
         except GraphError:
             raise XmlFormatError(f"bad unit ID: {shown(node.attrib.get('ID'))!r}") from None
-        if str(nid) in ids:
-            raise XmlFormatError(f"duplicate unit ID: {shown(nid)}")
-        ids[str(nid)] = nid
+        ids[node.attrib["ID"]] = nid  # a duplicate is refused by Passage's unit check
         attributes = node.find("attributes")
         implicit = attributes is not None and attributes.attrib.get("implicit") == "True"
         units.append((nid, NodeKind.IMPLICIT if implicit else NodeKind.NON_TERMINAL))
@@ -413,8 +411,7 @@ def reference_parse_xml(document: bytes | str) -> Passage:
     ids.update((f"0.{k}", NodeId(0, k)) for k in range(1, len(tokens) + 1))
     edges = []
     for nid, to_id, code, remote in written:
-        # A toID not written as str(NodeId) is parsed, then looked up.
-        child = ids.get(to_id) or ids.get(str(NodeId.parse(to_id)))
+        child = ids.get(to_id)  # only the spelling str(NodeId) writes names a node
         if child is None:
             raise DanglingReference(f"edge toID={shown(to_id)} is not a declared node")
         edges.append(Edge(nid, child, Category.from_code(code), remote))
@@ -454,6 +451,8 @@ def reference_assemble(passage_id, tokens, root_id, units, edges, incoming=None)
 def _reference_add_node(passage: Passage, in_: dict, kind: NodeKind, node_id: NodeId) -> None:
     if kind is NodeKind.TERMINAL:
         raise GraphError("terminals are fixed by the token sequence")
+    if kind not in (NodeKind.NON_TERMINAL, NodeKind.IMPLICIT):
+        raise GraphError(f"not a unit's NodeKind: {shown(kind)!r}")
     if node_id in passage._nodes:
         raise GraphError(f"node id already taken: {shown(node_id)}")
     if node_id.layer != UNIT_LAYER:

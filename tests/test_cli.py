@@ -711,6 +711,54 @@ class TestDoctypeRefused:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestNonCanonicalIdRefused:
+    """A node id in a spelling that str(NodeId) never writes is refused by
+    name on every command, and nothing is written."""
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    @pytest.mark.parametrize("old, new, message", [
+        (b'toID="1.2"', b'toID="1.02"', "edge toID=1.02 is not a declared node"),
+        (b'toID="0.1"', b'toID="x"', "edge toID=x is not a declared node"),
+        (b'<node ID="1.2"', b'<node ID="01.2"', "bad unit ID: '01.2'"),
+    ], ids=["leading-zero-to-id", "malformed-to-id", "leading-zero-unit-id"])
+    def test_names_file(self, capsys, tmp_path, command, old, new, message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        document = serialize_xml(remote_sample())
+        assert document.count(old) == 1
+        (corpus / "ids.xml").write_bytes(document.replace(old, new))
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *command_argv(command, corpus, out))
+        assert (code, stdout) == (cli.EXIT_PARSE, "")
+        assert err == f"{corpus / 'ids.xml'}: {message}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestWritesReplaceLinks:
+    """An output path that is a symlink or a hard link, here to the input
+    itself, is replaced by a new file: the file it led to keeps its bytes."""
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+    @pytest.mark.parametrize("command, name", [
+        (["normalize"], "a.xml"),
+        (["convert", "--to", "text"], "a.txt"),
+        (["convert", "--to", "bilexical"], "a.tsv"),
+    ], ids=["normalize", "convert-text", "convert-bilexical"])
+    def test_linked_file_unchanged(self, capsys, tmp_path, link, command, name):
+        source, out = tmp_path / "e", tmp_path / "d"
+        source.mkdir()
+        out.mkdir()
+        document = serialize_xml(remote_sample()).replace(b"<root ", b'<root annotationID="3" ')
+        (source / "a.xml").write_bytes(document)
+        link(source / "a.xml", out / name)
+        code, stdout, err = run(capsys, *command, str(source), "--out", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        assert (source / "a.xml").read_bytes() == document
+        written = out / name
+        assert not written.is_symlink() and written.stat().st_nlink == 1
+        assert written.read_bytes() != document
+
+
 def loaded_modules(probe: str, *argv: str) -> set[str]:
     """The modules a fresh `-S` interpreter holds after running `probe`,
     which writes them to stderr."""

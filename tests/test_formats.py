@@ -310,27 +310,38 @@ class TestExportBilexical:
 
 
 class TestNonCanonicalIds:
+    """A node id is read only in the spelling str(NodeId) writes: a toID in
+    another names no node, and a unit ID in another is refused."""
+
     def test_unit_referenced_with_leading_zero(self):
-        # 1.2 is written as 1.02 in its toID; it must not count as a root.
+        # 1.2 is written as 1.02 in its toID; it was once resolved to 1.2.
         doc = MINIMAL.replace(
             b'<node ID="1.1" type="FN"><edge toID="0.1" type="H"/></node>',
             b'<node ID="1.1" type="FN"><edge toID="1.02" type="H"/></node>\n'
             b'    <node ID="1.2" type="FN"><edge toID="0.1" type="C"/></node>',
         )
-        p = parse_xml(doc)
-        assert p == parse_xml(doc.replace(b'toID="1.02"', b'toID="1.2"'))
-        assert [str(e.child) for e in p.edges] == ["1.2", "0.1"]
+        with pytest.raises(DanglingReference, match=r"^edge toID=1\.02 is not a declared node$"):
+            parse_xml(doc)
+        assert [str(e.child) for e in parse_xml(doc.replace(b'toID="1.02"', b'toID="1.2"')).edges] == ["1.2", "0.1"]
 
-    # int() reads each of these, so they once resolved silently.
-    @pytest.mark.parametrize("written", [" 1.1 ", "+1.1", "\u0661.\u0661", "0_1.1"])
+    # int() reads the first four of each, so they once resolved silently, and the
+    # leading zeros as the id they spell out; a malformed toID such as "x" once
+    # escaped as a bare GraphError.
+    @pytest.mark.parametrize("written", [" 1.1 ", "+1.1", "\u0661.\u0661", "0_1.1",
+                                         "1.02", "01.1", "x", "1.1.1", ""])
     def test_loose_unit_id_rejected(self, written):
-        with pytest.raises(UccaError):
-            parse_xml(MINIMAL.replace(b'ID="1.1"', f'ID="{written}"'.encode()))
+        document = MINIMAL.replace(b'ID="1.1"', f'ID="{written}"'.encode())
+        for read in (parse_xml, reference_parse_xml):
+            with pytest.raises(XmlFormatError, match=f"^bad unit ID: {re.escape(repr(written))}$"):
+                read(document)
 
-    @pytest.mark.parametrize("written", [" 0.1 ", "+0.1", "\u0660.\u0661", "0_0.1"])
+    @pytest.mark.parametrize("written", [" 0.1 ", "+0.1", "\u0660.\u0661", "0_0.1",
+                                         "0.01", "00.1", "x", "0.1.", ""])
     def test_loose_to_id_rejected(self, written):
-        with pytest.raises(UccaError):
-            parse_xml(MINIMAL.replace(b'toID="0.1"', f'toID="{written}"'.encode()))
+        document = MINIMAL.replace(b'toID="0.1"', f'toID="{written}"'.encode())
+        for read in (parse_xml, reference_parse_xml):
+            with pytest.raises(DanglingReference, match=f"^edge toID={re.escape(written)} is not a declared node$"):
+                read(document)
 
     # Past int()'s limit of 4300 digits, these raised a bare ValueError.
     @pytest.mark.parametrize(
@@ -343,7 +354,7 @@ class TestNonCanonicalIds:
         ids=["unit-id", "to-id", "layer-part"],
     )
     def test_overlong_id_rejected(self, old, new):
-        with pytest.raises(UccaError, match=r"^(bad unit ID|malformed node id): "):
+        with pytest.raises(UccaError, match=r"^(bad unit ID: |edge toID=.* is not a declared node$)"):
             parse_xml(MINIMAL.replace(old, new))
 
     # Each message repeated its value whole: 4000 digits gave 4000 characters.
@@ -355,12 +366,14 @@ class TestNonCanonicalIds:
             (b'<layer layerID="1">', LONG_LAYERS, "repeated layerID '1111111111"),
             (b'type="H"', b'type="' + b"1" * 4000 + b'"', "unknown category code: '1111111111"),
             (b'toID="0.1"', b'toID="1.' + b"1" * 3998 + b'"', "edge toID=1.1111111111... (4000"),
-            (b"</layer>\n</root>", LONG_UNIT * 2 + b"</layer></root>", "duplicate unit ID: 1.1111111111"),
+            (b'<edge toID="0.1" type="H"/></node>',
+             b'<edge toID="0.1" type="H"/><edge toID="1.' + b"1" * 3998 + b'" type="A"/></node>' + LONG_UNIT * 2,
+             "node id already taken: 1.1111111111"),
             (b"</layer>\n</root>", LONG_UNIT.replace(b"/>", b"><edge/></node>") + b"</layer></root>",
              "edge under 1.1111111111"),
             (b'ID="1.1" type="FN">', b'ID="1.' + b"1" * 3998 + b'" type="FN"><attributes implicit="True"/>',
              "root unit 1.1111111111"),
-            (b'toID="0.1"', b'toID="' + b"1" * 4000 + b'.0"', "bad node id: 111111111111... (4002"),
+            (b'toID="0.1"', b'toID="' + b"1" * 4000 + b'.0"', "edge toID=111111111111... (4002"),
         ],
         ids=["unit-id", "terminal-id", "layer-id", "category", "to-id", "duplicate-unit",
              "edge-under", "implicit-root", "bad-node-id"],

@@ -47,11 +47,27 @@ class TestNodeId:
         with pytest.raises(GraphError):
             NodeId.parse("1.x")
 
-    # int() reads each of these, so they once parsed as 1.2 or 10.1.
-    @pytest.mark.parametrize("text", [" 1.2 ", "+1.2", "\u0661.\u0662", "1_0.1", "1.2\n"])
+    # int() reads each of these, so the first five once parsed as 1.2 or 10.1,
+    # and the leading zeros as the id they spell out; str() writes none of them.
+    @pytest.mark.parametrize("text", [" 1.2 ", "+1.2", "\u0661.\u0662", "1_0.1", "1.2\n",
+                                      "1.02", "01.1", "00.1", "1.00", "-1.1", "1.0", "1.2.3", "1", ""])
     def test_parse_accepts_ascii_digits_only(self, text):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="^malformed node id: "):
             NodeId.parse(text)
+
+    @given(st.builds(NodeId, st.integers(0, 10**30), st.integers(1, 10**30)))
+    def test_parse_inverts_str(self, nid):
+        assert NodeId.parse(str(nid)) == nid
+
+    @given(st.text(st.sampled_from("0123456789.+-_ \n\u0661"), max_size=8) | st.text(max_size=8))
+    @example("1.02")
+    @example("0.1")
+    def test_parse_accepts_only_str_of_its_id(self, text):
+        try:
+            nid = NodeId.parse(text)
+        except GraphError:
+            return
+        assert str(nid) == text
 
     def test_fields_and_text(self):
         nid = NodeId(1, 12)
@@ -156,6 +172,16 @@ class TestAddNode:
         p.add_node(NodeKind.NON_TERMINAL, node_id=NodeId(1, 7))
         assert str(p.add_node(NodeKind.NON_TERMINAL)) == "1.8"
 
+    # A kind's value was once stored as the kind, and the implicit flag lost.
+    @pytest.mark.parametrize("kind", ["implicit", "non-terminal", None, 1])
+    def test_kind_must_be_a_unit_kind(self, kind):
+        p = build_passage("p", ["x"])
+        with pytest.raises(GraphError, match=r"^not a unit's NodeKind: "):
+            p.add_node(kind)
+        with pytest.raises(GraphError, match=r"^not a unit's NodeKind: "):
+            Passage.assemble("q", ["x"], NodeId(1, 1), [(NodeId(1, 2), kind)], [])
+        assert len(p.nodes) == 2  # nothing registered
+
 
 class TestAddEdge:
     def test_primary_edge(self):
@@ -251,10 +277,24 @@ class TestAddEdge:
         with pytest.raises(GraphError):
             p.add_edge(p.root, p.terminal_id(1), "U", remote=True)
 
+    def test_add_edge_refuses_unregistered_category_as_assemble_does(self):
+        # add_edge once put the registered Category of the code in its place.
+        root, word = NodeId(1, 1), NodeId(0, 1)
+        for category in (Category("C", "Wrong"), Category("Z", "Zeta")):
+            p = build_passage("p", ["a"])
+            with pytest.raises(UnknownCategory) as by_add_edge:
+                p.add_edge(root, word, category)
+            with pytest.raises(UnknownCategory) as by_assemble:
+                Passage.assemble("p", ["a"], root, [], [Edge(root, word, category)])
+            assert str(by_add_edge.value) == str(by_assemble.value) == f"unregistered category: {category!r}"
+            assert p.edges == ()
+        p = build_passage("p", ["a"])
+        p.add_edge(root, word, Category("C", "Center"))  # the registered one, or a code
+        assert p.freeze() == Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category.from_code("C"))])
+
     def test_assemble_refuses_unregistered_category(self):
-        # add_edge and parse_xml take a code; assemble takes an Edge holding
-        # any Category, which serialize_xml would write and parse_xml refuse.
-        # So no sealed passage can break rule V4.
+        # assemble takes an Edge holding any Category, which serialize_xml
+        # would write and parse_xml refuse.  So no sealed passage can break rule V4.
         root, word = NodeId(1, 1), NodeId(0, 1)
         for category in (Category("Z", "Zeta"), Category("A", "Agent")):
             with pytest.raises(UnknownCategory) as exc:
@@ -344,6 +384,10 @@ LONG_ID_CASES = {
         '<node ID="1.1" type="FN"><edge toID="0.1" type="H"/><edge toID="{u}" type="A"/></node>'
         '<node ID="{u}" type="FN"/>',
         "0.", "units must live in layer 1: {u}"),
+    "duplicate-unit": (
+        '<node ID="1.1" type="FN"><edge toID="0.1" type="H"/><edge toID="{u}" type="A"/></node>'
+        '<node ID="{u}" type="FN"/><node ID="{u}" type="FN"/>',
+        "1.", "node id already taken: {u}"),
     "root-in-layer-0": (
         '<node ID="{u}" type="FN"><edge toID="0.1" type="H"/></node>',
         "0.", "root must live in layer 1: {u}"),
@@ -666,7 +710,8 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
     defect = rng.choice([
         "duplicate", "second-primary", "implicit-parent", "terminal-parent", "remote-punct",
         "unknown-parent", "unknown-child", "self-loop", "cycle", "unreachable", "root-parent",
-        "terminal-unit", "taken-id", "wrong-layer", "remote-only", "unknown-code", "renamed-code",
+        "terminal-unit", "kind-value", "taken-id", "wrong-layer", "remote-only", "unknown-code",
+        "renamed-code",
     ])
     if defect == "duplicate" and edges:
         added = rng.choice(edges)
@@ -704,8 +749,9 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
     elif defect == "unreachable":
         units.insert(rng.randint(0, len(units)), (NodeId(1, 901), NodeKind.NON_TERMINAL))
         return
-    elif defect in ("terminal-unit", "taken-id", "wrong-layer"):
+    elif defect in ("terminal-unit", "kind-value", "taken-id", "wrong-layer"):
         unit = {"terminal-unit": (NodeId(1, 902), NodeKind.TERMINAL),
+                "kind-value": (NodeId(1, 903), rng.choice([kind.value for kind in NodeKind])),
                 "taken-id": (rng.choice(ids + children), NodeKind.NON_TERMINAL),
                 "wrong-layer": (NodeId(2, 1), NodeKind.NON_TERMINAL)}[defect]
         units.insert(rng.randint(0, len(units)), unit)
