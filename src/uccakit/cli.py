@@ -10,10 +10,11 @@ written (path named on stderr), 2 parse error (a DOCTYPE is refused), or an
 input that is missing, a directory holding no *.xml file, or neither a regular
 file nor a directory (a FIFO or a device, never opened; a directory's *.xml
 entries must be regular files), or, for convert, a token holding a tab or a line
-break (no output written for that input), or, for validate without --json, a
-passage id holding one (none of that file's lines printed), offending path named
-on stderr, 3 token mismatch between system and gold (both paths named on stderr,
-with the first difference), 4 validation violations under --strict.
+break, or, for validate without --json, a passage id holding one (none of that
+file's lines printed), offending path named on stderr, 3 token mismatch between
+system and gold (both paths named on stderr, with the first difference), 4
+validation violations under --strict.  normalize and convert write only once
+every input has loaded, so a refused input leaves --out as it was.
 """
 from __future__ import annotations
 
@@ -39,10 +40,11 @@ EXIT_VIOLATIONS = 4
 _FIELD_BREAKS = frozenset("\t\r\n")
 
 
-class _ParseFailure(Exception):
-    def __init__(self, path: Path, cause: Exception | str):
-        self.path = path
-        self.cause = cause
+class _Exit(Exception):
+    """Ends a command: main prints `message` on stderr and returns `code`."""
+
+    def __init__(self, code: int, message: str):
+        self.code, self.message = code, message
 
 
 def _xml_files(path: Path) -> list[Path]:
@@ -50,28 +52,32 @@ def _xml_files(path: Path) -> list[Path]:
     if path.is_file():
         return [path]
     if not path.is_dir():  # a FIFO or a device is never opened
-        raise _ParseFailure(path, "is not a regular file or directory" if path.exists()
-                            else "does not exist")
+        raise _Exit(EXIT_PARSE, f"{path}: is not a regular file or directory" if path.exists()
+                    else f"{path}: does not exist")
     files = sorted(path.glob("*.xml"))
     if not files:
-        raise _ParseFailure(path, "holds no *.xml files")
+        raise _Exit(EXIT_PARSE, f"{path}: holds no *.xml files")
     return files
 
 
 def _load(path: Path) -> formats.Passage:
     if not path.is_file():  # a directory's *.xml entry may be a FIFO, a device or a directory
-        raise _ParseFailure(path, "is not a regular file")
+        raise _Exit(EXIT_PARSE, f"{path}: is not a regular file")
     try:
         return formats.parse_xml(path.read_bytes())
     except (UccaError, OSError) as exc:
-        raise _ParseFailure(path, exc) from exc
+        raise _Exit(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
-def _write_new(path: Path, data: bytes) -> None:
-    """Create `path` anew, removing any entry there first: a symlink or hard link is replaced, not written through."""
-    path.unlink(missing_ok=True)
-    with open(path, "xb") as file:
-        file.write(data)
+def _write_all(out_dir: Path, outputs: list[tuple[str, bytes]]) -> None:
+    """Create `out_dir` and each named file in it anew; called once every input has loaded.
+    Any entry at a name is removed first: a symlink or hard link is replaced, not written through."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in outputs:
+        path = out_dir / name
+        path.unlink(missing_ok=True)
+        with open(path, "xb") as file:
+            file.write(data)
 
 
 def _print_json(payload) -> None:
@@ -98,9 +104,8 @@ def _cmd_evaluate(args) -> int:
         gold = {p.stem: p for p in _xml_files(gold_path)}
         system = {p.stem: p for p in _xml_files(system_path)}
     if set(gold) != set(system):
-        print(f"unpaired files (gold only: {_stems(gold.keys() - system)}, "
-              f"system only: {_stems(system.keys() - gold)})", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"unpaired files (gold only: {_stems(gold.keys() - system)}, "
+                                f"system only: {_stems(system.keys() - gold)})")
 
     scores = evaluation.EvalScores()
     for stem in sorted(gold):  # one pair in memory at a time
@@ -110,7 +115,7 @@ def _cmd_evaluate(args) -> int:
         try:
             scores = scores.merge(evaluation.score_passage(out, ref, not args.exclude_punct))
         except TokenMismatch as exc:
-            raise TokenMismatch(f"{system[stem]} vs {gold[stem]}: {exc}") from None
+            raise _Exit(EXIT_TOKEN_MISMATCH, f"{system[stem]} vs {gold[stem]}: {exc}") from None
     payload = scores.to_dict()  # the sections both formats print
     if args.unlabeled or not args.fine_grained:
         del payload["by_category"]
@@ -130,7 +135,7 @@ def _cmd_validate(args) -> int:
     for path in _xml_files(Path(args.input)):
         passage = _load(path)
         if not (args.json or _FIELD_BREAKS.isdisjoint(passage.passage_id)):
-            raise _ParseFailure(path, "passage id holds a tab or a line break")
+            raise _Exit(EXIT_PARSE, f"{path}: passage id holds a tab or a line break")
         report = validation.validate(passage)
         violations += len(report.violations)
         if args.json:
@@ -147,11 +152,9 @@ def _cmd_validate(args) -> int:
 def _cmd_normalize(args) -> int:
     source, out_dir = Path(args.input), Path(args.out)
     if os.path.realpath(out_dir) == os.path.realpath(source.parent if source.is_file() else source):
-        print(f"{args.out}: is the input's directory, which normalize would overwrite", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in _xml_files(source):
-        _write_new(out_dir / path.name, formats.serialize_xml(normalize(_load(path))))
+        raise _Exit(EXIT_USAGE, f"{args.out}: is the input's directory, which normalize would overwrite")
+    outputs = [(path.name, formats.serialize_xml(normalize(_load(path)))) for path in _xml_files(source)]
+    _write_all(out_dir, outputs)
     return EXIT_OK
 
 
@@ -161,8 +164,7 @@ def _cmd_stats(args) -> int:
     resolved = [os.path.realpath(name) for name in args.input]  # ./d and d/ are d
     for k, name in enumerate(args.input):  # columns are keyed by path as given
         if resolved[k] in resolved[:k]:
-            print(f"{name}: given more than once", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, f"{name}: given more than once")
     reports = {
         name: stats.corpus_stats(_load(p) for p in _xml_files(Path(name)))
         for name in args.input
@@ -177,18 +179,18 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
     for path in _xml_files(Path(args.input)):
         passage = _load(path)
         for position, token in enumerate(passage.tokens, 1):
             if not _FIELD_BREAKS.isdisjoint(token):
-                raise _ParseFailure(path, f"token {position} holds a tab or a line break")
+                raise _Exit(EXIT_PARSE, f"{path}: token {position} holds a tab or a line break")
         if args.to == "text":
             name, text = f"{path.stem}.txt", formats.export_text(passage) + "\n"
         else:
             name, text = f"{path.stem}.tsv", formats.render_bilexical(formats.export_bilexical(passage))
-        _write_new(out_dir / name, text.encode("utf-8"))
+        outputs.append((name, text.encode("utf-8")))
+    _write_all(Path(args.out), outputs)
     return EXIT_OK
 
 
@@ -244,15 +246,12 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the interpreter's final flush cannot raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (OSError, UnicodeEncodeError) as exc:  # input errors are _ParseFailure; this is output
+    except (OSError, UnicodeEncodeError) as exc:  # input errors are _Exit; this is output
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _ParseFailure as exc:
-        print(f"{exc.path}: {exc.cause}", file=sys.stderr)
-        return EXIT_PARSE
-    except TokenMismatch as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_TOKEN_MISMATCH
+    except _Exit as exc:
+        print(exc.message, file=sys.stderr)
+        return exc.code
 
 
 def run() -> int:

@@ -24,8 +24,8 @@ The XML layout, as serialize_xml writes it byte for byte, ending in a newline:
     </root>
 
 Attribute values escape & < > " tab LF CR as &amp; &lt; &gt; &quot; &#09; &#10;
-&#13;, and a lone surrogate becomes a character reference: ElementTree's bytes,
-but from this module's own writer, so they do not depend on the Python version.
+&#13;: ElementTree's bytes, but from this module's own writer, so they do not
+depend on the Python version.
 
 Each layerID appears once.  Terminal order in layer 0 is document order
 and defines token positions.  The root unit is the unique layer-1 node
@@ -69,7 +69,9 @@ def parse_xml(document: bytes | str) -> Passage:
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
 
+    new = tuple.__new__  # checked fields: each record is built without its Python __new__
     tokens = []
+    ids: dict[str, NodeId] = {}  # terminal ids, then declared unit ids, by the text of their ID
     for position, (attrs, attributes, _, _) in enumerate(layers["0"], start=1):
         nid = attrs.get("ID", "")
         if nid != f"0.{position}":
@@ -77,10 +79,10 @@ def parse_xml(document: bytes | str) -> Passage:
         if attributes is None or "text" not in attributes:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
         tokens.append(attributes["text"])
+        ids[nid] = new(NodeId, (0, position))
 
     units: list[tuple[NodeId, NodeKind]] = []
     written: list[tuple[NodeId, str, str, bool]] = []  # parent, toID, type, remote
-    ids: dict[str, NodeId] = {}  # declared unit ids, then terminal ids, by the text of their ID
     for attrs, attributes, edges, _ in layers["1"]:
         text = attrs.get("ID", "")
         try:
@@ -96,8 +98,6 @@ def parse_xml(document: bytes | str) -> Passage:
             remote = attributes is not None and attributes.get("remote") == "True"
             written.append((nid, to_id, code, remote))
 
-    new = tuple.__new__  # checked fields: each record is built without its Python __new__
-    ids.update((f"0.{k}", new(NodeId, (0, k))) for k in range(1, len(tokens) + 1))
     edges = []
     for nid, to_id, code, remote in written:
         child = ids.get(to_id)
@@ -181,7 +181,7 @@ def serialize_xml(passage: Passage) -> bytes:
         node = f'    <node ID="{unit.id}" type="FN"'
         lines += (node + ">", *body, "    </node>") if body else (node + " />",)
     lines += ("  </layer>", "</root>", "")
-    return "\n".join(lines).encode("utf-8", "xmlcharrefreplace")
+    return "\n".join(lines).encode("utf-8")
 
 
 # -- plain text -----------------------------------------------------------

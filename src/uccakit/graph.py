@@ -24,6 +24,7 @@ built and on the first call only once it is sealed.  The T/Q-free copy that
 """
 from __future__ import annotations
 
+import re
 from collections import Counter, namedtuple
 from collections.abc import Iterable
 from enum import Enum
@@ -44,6 +45,16 @@ from .errors import (
 
 TERMINAL_LAYER = 0
 UNIT_LAYER = 1
+
+
+#: A character XML 1.0 cannot carry: a C0 control but tab, LF and CR, a lone surrogate, U+FFFE, U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _refuse_non_xml(text: str, where: str) -> None:
+    found = _NOT_XML.search(text)
+    if found:
+        raise GraphError(f"{where} holds {found.group()!r}, which XML cannot carry")
 
 
 def is_punctuation(text: str) -> bool:
@@ -117,8 +128,10 @@ class Passage:
 
     Construction starts from the token sequence: ``Passage(pid, tokens)``
     creates terminals at layer 0 positions 1..n and a root unit in
-    layer 1.  Units and edges are then added incrementally; ``freeze()``
-    verifies the global invariants and seals the passage.
+    layer 1; a token or id holding a character XML cannot carry is
+    refused, so every passage serializes.  Units and edges are then added
+    incrementally; ``freeze()`` verifies the global invariants and seals
+    the passage.
     """
 
     def __init__(
@@ -130,6 +143,10 @@ class Passage:
         tokens = tuple(tokens)
         if not tokens:
             raise GraphError("a passage needs at least one token")
+        _refuse_non_xml(passage_id, "passage id")
+        if _NOT_XML.search("".join(tokens)):  # one search; the loop only names the token
+            for position, token in enumerate(tokens, 1):
+                _refuse_non_xml(token, f"token {position}")
         self.passage_id = passage_id
         self._sealed = False
         self._tokens = tokens

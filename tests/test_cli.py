@@ -582,7 +582,54 @@ class TestConvertRefusesFieldBreaks:
         code, _, err = run(capsys, "convert", str(broken_dir), "--to", to, "--out", str(out_dir))
         assert code == cli.EXIT_PARSE
         assert err == f"{broken_dir / 'p0.xml'}: token 1 holds a tab or a line break\n"
-        assert [f.name for f in out_dir.iterdir()] == [f"good{suffix}"]
+        assert not out_dir.exists()  # good.xml loaded first, but nothing is written
+
+
+class TestRefusedInputWritesNothing:
+    """normalize and convert write once every input has loaded: a later
+    malformed file leaves the out directory as it was, or absent."""
+
+    COMMANDS = pytest.mark.parametrize("command, name", [
+        (["normalize"], "a.xml"),
+        (["convert", "--to", "text"], "a.txt"),
+        (["convert", "--to", "bilexical"], "a.tsv"),
+    ], ids=["normalize", "convert-text", "convert-bilexical"])
+
+    @pytest.fixture
+    def half_broken(self, tmp_path):
+        source = tmp_path / "e"
+        source.mkdir()
+        (source / "a.xml").write_bytes(serialize_xml(remote_sample()))
+        (source / "b.xml").write_bytes(b"<root")
+        return source
+
+    def refused(self, capsys, command, source, out):
+        code, stdout, err = run(capsys, *command, str(source), "--out", str(out))
+        assert (code, stdout) == (cli.EXIT_PARSE, "")
+        assert err == f"{source / 'b.xml'}: malformed XML: unclosed token: line 1, column 0\n"
+
+    @COMMANDS
+    def test_no_out_directory(self, capsys, tmp_path, half_broken, command, name):
+        out = tmp_path / "d"
+        self.refused(capsys, command, half_broken, out)
+        assert not out.exists()
+
+    @COMMANDS
+    def test_existing_out_directory_unchanged(self, capsys, tmp_path, half_broken, command, name):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / name).write_bytes(b"earlier output\n")
+        self.refused(capsys, command, half_broken, out)
+        assert [f.name for f in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == b"earlier output\n"
+
+    @COMMANDS
+    def test_out_path_a_regular_file(self, capsys, tmp_path, half_broken, command, name):
+        # The input is refused before the out directory is made, so exit 2, not 1.
+        out = tmp_path / "afile"
+        out.write_bytes(b"")
+        self.refused(capsys, command, half_broken, out)
+        assert out.read_bytes() == b""
 
 
 class TestUnwritableOutput:
@@ -708,7 +755,7 @@ class TestDoctypeRefused:
         code, stdout, err = run(capsys, *command_argv(command, corpus, out))
         assert (code, stdout) == (cli.EXIT_PARSE, "")
         assert err == f"{corpus / 'dtd.xml'}: DOCTYPE 'root' not allowed in passage XML\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestNonCanonicalIdRefused:
@@ -731,7 +778,7 @@ class TestNonCanonicalIdRefused:
         code, stdout, err = run(capsys, *command_argv(command, corpus, out))
         assert (code, stdout) == (cli.EXIT_PARSE, "")
         assert err == f"{corpus / 'ids.xml'}: {message}\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestWritesReplaceLinks:

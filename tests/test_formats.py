@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uccakit.errors import (
     DanglingReference,
+    GraphError,
     UccaError,
     StructuralViolation,
     UnknownCategory,
@@ -395,9 +396,27 @@ class TestNonCanonicalIds:
 
 
 #: Text for tokens and passage ids: every character attribute escaping
-#: touches, non-ASCII text, DEL and a lone surrogate.
+#: touches, non-ASCII text, DEL, NEL and the line separator.
 AWKWARD_TEXT = st.text(
-    st.sampled_from(list("&<>\"'\t\n\r") + ["a", "é", "漢", "😀", "\x7f", "\ud800", ","]),
+    st.sampled_from(list("&<>\"'\t\n\r") + ["a", "é", "漢", "😀", "\x7f", "\x85", "\u2028", ","]),
+    min_size=1,
+    max_size=4,
+)
+
+
+def is_xml_char(char: str) -> bool:
+    """XML 1.0's Char production."""
+    return char in "\t\n\r" or " " <= char <= "\ud7ff" or "\ue000" <= char <= "\ufffd" or char >= "\U00010000"
+
+
+#: Text from any code point, drawing often one of each class of character that
+#: XML 1.0 cannot carry (C0 controls, surrogates, U+FFFE, U+FFFF) or awkward text.
+ANY_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(["\x00", "\x01", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"]),
+        st.sampled_from(list("&<>\"\t\n\r") + ["\x7f", "\x85", "\u2028", "\ufffd", "\U0010ffff"]),
+    ),
     min_size=1,
     max_size=4,
 )
@@ -412,8 +431,8 @@ def awkward_passages(draw):
 
 def every_feature_passage() -> Passage:
     """Escaped text, an implicit unit, a childless unit and a remote edge."""
-    tokens = ["a&b", "<i>", 'say "hi"', "tab\there", "line\nbreak\r", "漢字", "\ud800x"]
-    p = build_passage("id &<>\"'\t\n\r é \x7f \ud800", tokens)
+    tokens = ["a&b", "<i>", 'say "hi"', "tab\there", "line\nbreak\r", "漢字", "\x85x"]
+    p = build_passage("id &<>\"'\t\n\r é \x7f \u2028", tokens)
     scene = p.add_node(NodeKind.NON_TERMINAL)
     p.add_edge(p.root, scene, "H")
     p.add_edge(p.root, p.add_node(NodeKind.NON_TERMINAL), "D")  # childless
@@ -437,7 +456,7 @@ class TestSerializeXmlBytes:
         assert b'<node ID="1.3" type="FN" />' in document
         assert b'<attributes implicit="True" />' in document
         assert b'<attributes remote="True" />' in document
-        assert b"&#55296;" in document  # a lone surrogate as a character reference
+        assert "\x85x".encode() in document and "\u2028".encode() in document  # as UTF-8, unescaped
         assert document.endswith(b"</root>\n")
 
     @settings(max_examples=200, deadline=None)
@@ -450,6 +469,19 @@ class TestSerializeXmlBytes:
     def test_matches_reference_writer_on_normalized(self, seed):
         p = normalize(random_passage(random.Random(seed), legacy_labels=True))
         assert serialize_xml(p) == reference_serialize_xml(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ANY_TEXT, min_size=1, max_size=6), ANY_TEXT, st.integers(0, 2**32 - 1))
+    def test_every_passage_that_builds_round_trips(self, tokens, passage_id, seed):
+        carried = all(map(is_xml_char, passage_id + "".join(tokens)))
+        try:
+            p = random_passage(random.Random(seed), passage_id, tokens=tokens, max_remotes=3)
+        except GraphError as exc:  # refused at construction, naming where
+            assert not carried
+            assert re.fullmatch(r"(token \d+|passage id) holds .+, which XML cannot carry", str(exc))
+            return
+        assert carried
+        assert parse_xml(serialize_xml(p)) == p
 
 
 #: Replacement values for ID, toID and type attributes in the fuzz test.

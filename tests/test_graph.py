@@ -140,6 +140,20 @@ class TestBuildPassage:
             build()
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"],
+                             ids=["nul", "soh", "vt", "ff", "us", "high-surrogate", "low-surrogate", "fffe", "ffff"])
+    def test_character_xml_cannot_carry_refused(self, char):
+        """parse_xml could not read back a document that held it."""
+        with pytest.raises(GraphError, match=rf"^token 3 holds {re.escape(repr(char))}, which XML cannot carry$"):
+            Passage("p", ["a", "b\tc", f"d{char}e", char])
+        with pytest.raises(GraphError, match=rf"^passage id holds {re.escape(repr(char))}, which XML cannot carry$"):
+            Passage(f"p{char}", ["a"])
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", " ", "\x7f", "\x85", "\u2028", "\ud7ff", "\ue000",
+                                      "\ufffd", "\U00010000", "\U0010ffff"])
+    def test_every_xml_character_accepted(self, char):
+        assert Passage(char, [char]).tokens == (char,)
+
     def test_repr_names_state_and_sizes(self):
         p = build_passage("p", ["x", "y"])
         p.add_edge(p.root, p.terminal_id(1), "A")

@@ -46,6 +46,7 @@ class TestCorpusStats:
         assert r.edges == sum(r.category_counts.values())
         assert r.tokens == sum(len(p.terminals) for p in passages)
         assert r.primary + r.remote == r.edges
+        assert r.reentrant == sum(p.is_reentrant(n.id) for p in passages for n in p.nodes)
         if r.edges:
             assert abs(r.pct_primary + r.pct_remote - 100.0) < 1e-9
             assert abs(sum(r.by_category.values()) - 100.0) < 0.1
