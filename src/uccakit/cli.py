@@ -19,6 +19,7 @@ every input has loaded, so a refused input leaves --out as it was.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import os
 import sys
@@ -71,7 +72,11 @@ def _load(path: Path) -> formats.Passage:
 
 def _write_all(out_dir: Path, outputs: list[tuple[str, bytes]]) -> None:
     """Create `out_dir` and each named file in it anew; called once every input has loaded.
-    Any entry at a name is removed first: a symlink or hard link is replaced, not written through."""
+    A directory at any name is refused before the first file is replaced.  Any other
+    entry at a name is removed first: a symlink or hard link is replaced, not written through."""
+    for path in (out_dir / name for name, _ in outputs):
+        if path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, data in outputs:
         path = out_dir / name

@@ -3,24 +3,20 @@
 A passage is a token sequence plus a layered graph over it: terminals in
 layer 0, semantic units in layer 1.  Primary edges form a tree; remote
 edges add reentrancy, so the full edge set is a DAG.  Passages are mutable
-while being built and immutable once sealed by :meth:`Passage.freeze`;
-all analytic queries require a sealed passage.  Units added one at a time
-and units loaded in bulk by :meth:`Passage.assemble` pass through the
-same loop of checks, and edges through one linker, ``Passage._link``.
+while being built and immutable once sealed by :meth:`Passage.freeze`.
+Units added one at a time and units loaded in bulk by
+:meth:`Passage.assemble` pass through the same loop of checks, and edges
+through one linker, ``Passage._link``.
 Sealing walks the whole edge set once, the only acyclicity check, records
 a bottom-up node order and, in that order, fills the yields of all nodes:
 integer masks with bit k set for token k, decoded to positions only where
 a yield leaves the library.
 
-Once every check has passed, sealing stores the edge tables as tuples.
-Accessors return tuples: ``terminals``, ``edges``, ``outgoing``,
-``bottom_up`` and ``incoming`` hand out a sealed passage's own tables
-without copying, and ``nodes`` and the accessors of a passage being built,
-snapshots.  A passage being built keeps no table of incoming edges, only
-the set of nodes that have their one primary parent; ``incoming`` builds
-that table in one pass over the edges, on every call while the passage is
-built and on the first call only once it is sealed.  The T/Q-free copy that
-``normalize`` makes shares every table but the edge tables with its input.
+Queries that read a table only a sealed passage keeps, ``incoming``, the
+yields and ``bottom_up``, need a sealed passage; those that read what
+``add_node`` and ``add_edge`` maintain (``nodes``, ``edges``, ``outgoing``,
+``terminals``, ``node``, ``non_terminals``) answer at any time.  Accessors
+return tuples: a sealed passage's own tables, or snapshots while building.
 """
 from __future__ import annotations
 
@@ -162,7 +158,7 @@ class Passage:
         # Both set by freeze; normalize's copies share them.
         self._order: tuple[NodeId, ...] = ()
         self._yields: dict[NodeId, int] = {}
-        # Each node's incoming edges, kept from a sealed passage's first ask.
+        # Each node's incoming edges, built by the first incoming().
         self._in: dict[NodeId, tuple[Edge, ...]] = {}
         self.root = NodeId(UNIT_LAYER, 1) if root_id is None else root_id
         if type(self.root) is NodeId and self.root.layer != UNIT_LAYER:  # _add_units checks the type
@@ -186,10 +182,10 @@ class Passage:
         add_edge's linker, _link, each list in one loop; freeze then checks
         the whole passage, cycles included.
         """
-        passage = cls(passage_id, tokens, root_id=root_id)
-        passage._add_units(units)
-        passage._link(edges)
-        return passage.freeze()
+        built = cls(passage_id, tokens, root_id=root_id)
+        built._add_units(units)
+        built._link(edges)
+        return built.freeze()
 
     def add_node(self, kind: NodeKind, node_id: NodeId | None = None) -> NodeId:
         """Add an unattached unit (non-terminal or implicit) in layer 1.
@@ -297,11 +293,18 @@ class Passage:
         self.node(node_id)
         return tuple(self._out[node_id])
 
-    def incoming(self, node_id: NodeId) -> tuple[Edge, ...]:
-        """The edges into a node, in edge order."""
-        return self._incoming_table()[self.node(node_id).id]
-
     # -- queries (sealed passages only) -----------------------------------
+
+    def incoming(self, node_id: NodeId) -> tuple[Edge, ...]:
+        """The edges into a node, in edge order, from a table that the first
+        call builds in one pass over the edges and later calls reuse."""
+        self.require_sealed()
+        if not self._in:
+            table = {nid: [] for nid in self._nodes}
+            for edge in self._edges:
+                table[edge[1]].append(edge)
+            self._in = dict(zip(table, map(tuple, table.values())))
+        return self._in[self.node(node_id).id]
 
     def yield_masks(self) -> dict[NodeId, int]:
         """Every node's yield as a mask with bit k set for token k: the
@@ -333,8 +336,7 @@ class Passage:
     def is_reentrant(self, node_id: NodeId) -> bool:
         """True iff the node has at least two incoming edges, that is, iff a remote
         edge points at it: the root has no parent and every other node one primary."""
-        self.require_sealed()
-        return len(self._incoming_table()[self.node(node_id).id]) > 1
+        return len(self.incoming(node_id)) > 1
 
     # -- comparison --------------------------------------------------------
 
@@ -369,19 +371,6 @@ class Passage:
         self._edges, out = tuple(self._edges), self._out
         self._out = dict(zip(out, map(tuple, out.values())))
         self._sealed = True
-
-    def _incoming_table(self) -> dict[NodeId, tuple[Edge, ...]]:
-        """Each node's incoming edges in edge order, from one pass over the
-        edges: kept from the first call once sealed, rebuilt while building."""
-        if self._in:
-            return self._in
-        table = {nid: [] for nid in self._nodes}
-        for edge in self._edges:
-            table[edge[1]].append(edge)
-        table = dict(zip(table, map(tuple, table.values())))
-        if self._sealed:
-            self._in = table
-        return table
 
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
         """Register unattached layer-1 units, checking each one."""
@@ -437,14 +426,14 @@ class Passage:
 def normalize(passage: Passage) -> Passage:
     """Relabel every T edge to D and every Q edge to E.
 
-    An unsealed input is frozen first, and one without a legacy label is
-    returned as is; otherwise the input keeps its labels.  Relabeling cannot
+    The input must be sealed.  One without a legacy label is returned as
+    is; otherwise the input keeps its labels.  Relabeling cannot
     change the primary tree, so the sealed copy shares the input's nodes,
     parented set, bottom-up order and yields; only the edge tables are new,
     linked without the checks that relabeling cannot break.  A remote edge
     equal to one linked before it, which only relabeling can make, is dropped.
     """
-    passage.freeze()
+    passage.require_sealed()
     if not any(edge[2].code in _REPLACEMENTS for edge in passage._edges):
         return passage
     fresh = object.__new__(type(passage))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -642,6 +643,31 @@ class TestUnwritableOutput:
         code, _, err = run(capsys, *command, str(corpus_dir), "--out", str(afile))
         assert code == cli.EXIT_USAGE
         assert str(afile) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, suffix", [
+        (["normalize"], ".xml"),
+        (["convert", "--to", "text"], ".txt"),
+        (["convert", "--to", "bilexical"], ".tsv"),
+    ], ids=["normalize", "convert-text", "convert-bilexical"])
+    def test_directory_at_a_later_name_replaces_nothing(self, capsys, tmp_path, command, suffix):
+        source, out = tmp_path / "e", tmp_path / "d"
+        source.mkdir()
+        for stem in "ab":
+            (source / f"{stem}.xml").write_bytes(serialize_xml(remote_sample()))
+        (out / f"b{suffix}").mkdir(parents=True)
+        (out / f"a{suffix}").write_bytes(b"earlier output\n")
+        code, stdout, err = run(capsys, *command, str(source), "--out", str(out))
+        assert (code, stdout) == (cli.EXIT_USAGE, "")
+        strerror = os.strerror(errno.EISDIR)
+        assert err == f"cannot write output: [Errno {errno.EISDIR}] {strerror}: {str(out / f'b{suffix}')!r}\n"
+        assert (out / f"a{suffix}").read_bytes() == b"earlier output\n"
+
+    def test_symlink_to_a_directory_is_replaced(self, capsys, corpus_dir, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        os.symlink(tmp_path, out / "one.xml")
+        assert run(capsys, "normalize", str(corpus_dir), "--out", str(out)) == (0, "", "")
+        assert not (out / "one.xml").is_symlink() and (out / "one.xml").is_file()
 
 
 def legacy_corpus(directory: Path, passage_id: str = "1") -> Path:

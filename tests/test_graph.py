@@ -20,10 +20,11 @@ from uccakit.errors import (
     UnknownNode,
     shown,
 )
-from uccakit.evaluation import score_passage
-from uccakit.formats import parse_xml, serialize_xml
+from uccakit.evaluation import edge_signatures, score_passage
+from uccakit.formats import export_bilexical, export_text, parse_xml, serialize_xml
 from uccakit.graph import Edge, NodeId, NodeKind, Passage, build_passage, normalize
 from uccakit.stats import corpus_stats
+from uccakit.validation import validate
 
 from .helpers import (
     PUNCT,
@@ -34,6 +35,24 @@ from .helpers import (
     reference_yields,
 )
 from .samples import implicit_sample, remote_sample
+
+#: Each query or function that reads a table only a sealed passage keeps.
+SEALED_ONLY = {
+    "incoming": lambda p: p.incoming(p.root),
+    "is_reentrant": lambda p: p.is_reentrant(p.root),
+    "yield_masks": Passage.yield_masks,
+    "yield_of": lambda p: p.yield_of(p.root),
+    "bottom_up": Passage.bottom_up,
+    "is_discontinuous": lambda p: p.is_discontinuous(p.root),
+    "normalize": normalize,
+    "validate": validate,
+    "score_passage": lambda p: score_passage(p, p),
+    "edge_signatures": edge_signatures,
+    "corpus_stats": lambda p: corpus_stats([p]),
+    "serialize_xml": serialize_xml,
+    "export_text": export_text,
+    "export_bilexical": export_bilexical,
+}
 
 passages = st.integers(0, 2**32 - 1).map(
     lambda seed: random_passage(random.Random(seed))
@@ -463,34 +482,30 @@ class TestSealedTables:
         u = p.add_node(NodeKind.NON_TERMINAL)
         p.add_edge(p.root, u, "H")
         x = p.terminal_id(1)
-        before = p.edges, p.nodes, p.outgoing(u), p.incoming(x)
+        before = p.edges, p.nodes, p.outgoing(u)
         assert all(type(table) is tuple for table in before)
         p.add_node(NodeKind.IMPLICIT)
         p.add_edge(u, x, "A")
         p.add_edge(u, p.terminal_id(2), "C")
-        assert before == ((Edge(p.root, u, p.edges[0].category),), p.nodes[:4], (), ())
-        assert (len(p.edges), len(p.nodes), len(p.outgoing(u)), len(p.incoming(x))) == (3, 5, 2, 1)
+        assert before == ((Edge(p.root, u, p.edges[0].category),), p.nodes[:4], ())
+        assert (len(p.edges), len(p.nodes), len(p.outgoing(u))) == (3, 5, 2)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    def test_incoming_while_building(self, seed, legacy_labels):
-        # incoming reads one table, rebuilt after every edge while the
-        # passage is built and kept once it is sealed.
-        source = random_passage(random.Random(seed), max_remotes=4, legacy_labels=legacy_labels)
-        p = build_passage(source.passage_id, source.tokens)
-        for node in source.nodes:
-            if not node.is_terminal and node.id != source.root:
-                p.add_node(node.kind, node_id=node.id)
-
-        def check(linked):
-            for node in p.nodes:
-                assert p.incoming(node.id) == tuple(e for e in linked if e.child == node.id)
-
-        for k, edge in enumerate(source.edges, start=1):
-            p.add_edge(*edge)
-            check(source.edges[:k])
+    @pytest.mark.parametrize("query", SEALED_ONLY.values(), ids=SEALED_ONLY)
+    def test_sealed_only_refused_while_building(self, query):
+        # The passage is complete, so only the missing freeze() stops query.
+        p = build_passage("p", ["x", "y"])
+        u = p.add_node(NodeKind.NON_TERMINAL)
+        for parent, child, code in [(p.root, u, "H"), (u, p.terminal_id(1), "A"), (u, p.terminal_id(2), "C")]:
+            p.add_edge(parent, child, code)
+        with pytest.raises(GraphError) as raised:
+            query(p)
+        assert str(raised.value) == "passage must be sealed first; call freeze()"
+        assert not p.sealed
+        # What add_node and add_edge maintain answers at any time.
+        assert (len(p.edges), len(p.nodes), len(p.terminals), len(p.outgoing(u))) == (3, 4, 2, 2)
+        assert p.node(u).id == u and [n.id for n in p.non_terminals] == [p.root, u]
         p.freeze()
-        check(source.edges)
+        query(p)
 
     def test_failed_freeze_leaves_tables_open(self):
         p = build_passage("p", ["x"])

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,25 @@ def test_normalize_has_one_definition():
     import uccakit.validation
 
     assert uccakit.normalize is uccakit.graph.normalize is uccakit.validation.normalize
+
+
+#: Passage's private tables and methods, which only graph.py may name.
+PASSAGE_PRIVATE = {
+    "_nodes", "_edges", "_out", "_in", "_yields", "_order", "_has_parent", "_terminals",
+    "_tokens", "_link", "_add_units", "_seal", "_require_mutable",
+}
+
+
+def test_no_module_but_graph_names_a_private_passage_member():
+    """Code outside graph.py names none of them; a comment or string may."""
+    found = []
+    for path in sorted(Path(uccakit.__file__).parent.glob("*.py")):
+        if path.name != "graph.py":
+            with tokenize.open(path) as file:
+                found += [f"{path.name}:{token.start[0]}: {token.string}"
+                          for token in tokenize.generate_tokens(file.readline)
+                          if token.type == tokenize.NAME and token.string in PASSAGE_PRIVATE]
+    assert found == []
 
 
 def test_dir_lists_every_name_before_first_use():

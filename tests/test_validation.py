@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uccakit.categories import LEGACY_REPLACEMENT
+from uccakit.errors import GraphError
 from uccakit.graph import NodeKind, build_passage
 from uccakit.validation import RULES, RuleSet, normalize, validate
 
@@ -122,13 +123,13 @@ class TestNormalize:
             assert q.yield_of(node.id) == rebuilt.yield_of(node.id)
         assert [e.category.code for e in p.edges] == labels
 
-    def test_unsealed_input_is_frozen_first(self):
+    def test_unsealed_input_refused(self):
         raw = build_passage("p", ["a", "b"])
         raw.add_edge(raw.root, raw.terminal_id(1), "T")
         raw.add_edge(raw.root, raw.terminal_id(2), "C")
-        p = normalize(raw)
-        assert raw.sealed and p.sealed
-        assert [e.category.code for e in p.edges] == ["D", "C"]
+        with pytest.raises(GraphError, match=r"^passage must be sealed first; call freeze\(\)$"):
+            normalize(raw)
+        assert not raw.sealed
         assert [e.category.code for e in raw.edges] == ["T", "C"]
 
 
