@@ -275,8 +275,8 @@ class Passage:
         return tuple(self._nodes.values())
 
     @property
-    def non_terminals(self) -> list[Node]:
-        return [n for n in self._nodes.values() if n.kind is NodeKind.NON_TERMINAL]
+    def non_terminals(self) -> tuple[Node, ...]:
+        return tuple(n for n in self._nodes.values() if n.kind is NodeKind.NON_TERMINAL)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -393,9 +393,9 @@ class Passage:
         self._max_unit_index = top
 
     def _link(self, edges: Iterable[Edge]) -> None:
-        """Append edges, each after every check that needs no graph search.
-        A category must be the registered one of its code, so that the
-        passage serializes to XML that parse_xml reads back."""
+        """Append edges, each after the structural checks, none a graph search:
+        NodeId ends in the passage, a registered category (so parse_xml reads the
+        XML back), a non-terminal parent, no duplicate, one primary parent at most."""
         nodes, out, has_parent, append = self._nodes, self._out, self._has_parent, self._edges.append
         for edge in edges:
             parent, child, category, remote = edge
@@ -404,13 +404,11 @@ class Passage:
             if category not in _REGISTERED:
                 raise UnknownCategory(f"unregistered category: {shown(category)!r}")
             try:
-                parent_node, child_node = nodes[parent], nodes[child]
+                parent_node, _ = nodes[parent], nodes[child]  # the child need only exist
             except KeyError as missing:
                 raise UnknownNode(f"no such node: {shown(missing.args[0])}") from None
             if parent_node.kind is not NodeKind.NON_TERMINAL:
                 raise TerminalAsParent(f"{parent_node.kind.value} node {shown(parent)} cannot have children")
-            if remote and child_node.kind is NodeKind.TERMINAL and is_punctuation(child_node.text):
-                raise GraphError(f"remote edge may not point at punctuation terminal {shown(child)}")
             # An equal edge shares the parent; an equal primary one also marked the child.
             children = out[parent]
             if (remote or child in has_parent) and edge in children:

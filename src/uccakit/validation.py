@@ -93,9 +93,7 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
         if "A" not in codes:
             flag("V2", unit.id, "Scene without a Participant")
 
-    for parent, child, category, remote in passage.edges:
-        if remote:
-            continue
+    for parent, child, category, _ in passage.edges:
         node = passage.node(child)
         punct = node.is_terminal and is_punctuation(node.text)
         if punct and category.code != PUNCT_CODE:

@@ -78,7 +78,7 @@ def random_passage(
         try:
             p.add_edge(parent, child, code, remote=True)
         except GraphError:
-            pass  # duplicate or punctuation target: just skip
+            pass  # a duplicate: just skip
     return p.freeze()
 
 
@@ -467,13 +467,11 @@ def _reference_link(passage: Passage, in_: dict, edge: Edge) -> None:
     if CATEGORIES.get(edge.category.code) != edge.category:
         raise UnknownCategory(f"unregistered category: {shown(edge.category)!r}")
     parent, child = edge.parent, edge.child
-    parent_node, child_node = passage.node(parent), passage.node(child)
+    parent_node, _ = passage.node(parent), passage.node(child)
     if parent_node.kind is not NodeKind.NON_TERMINAL:
         raise TerminalAsParent(
             f"{parent_node.kind.value} node {shown(parent)} cannot have children"
         )
-    if edge.remote and child_node.is_terminal and is_punctuation(child_node.text):
-        raise GraphError(f"remote edge may not point at punctuation terminal {shown(child)}")
     for e in in_[child]:
         if e == edge:
             raise DuplicateEdge(f"duplicate edge {shown(parent)} -{edge.category}-> {shown(child)}")

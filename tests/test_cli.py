@@ -282,6 +282,62 @@ class TestValidate:
         assert "loose.xml" in err and "Traceback" not in err
 
 
+class TestRemoteEdgeIntoPunctuation:
+    """A remote A edge into a Word-typed "%" and a remote U edge into a word
+    load on every command; validate reports both through V3."""
+
+    DOCUMENT = b"""<?xml version='1.0' encoding='utf-8'?>
+<root passageID="7">
+  <layer layerID="0">
+    <node ID="0.1" type="Word"><attributes text="Sales" paragraph="1" paragraph_position="1" /></node>
+    <node ID="0.2" type="Word"><attributes text="rose" paragraph="1" paragraph_position="2" /></node>
+    <node ID="0.3" type="Word"><attributes text="%" paragraph="1" paragraph_position="3" /></node>
+  </layer>
+  <layer layerID="1">
+    <node ID="1.1" type="FN">
+      <edge toID="1.2" type="H" />
+      <edge toID="0.3" type="U" />
+    </node>
+    <node ID="1.2" type="FN">
+      <edge toID="0.1" type="A" />
+      <edge toID="0.2" type="P" />
+      <edge toID="0.3" type="A"><attributes remote="True" /></edge>
+      <edge toID="0.1" type="U"><attributes remote="True" /></edge>
+    </node>
+  </layer>
+</root>
+"""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "percent.xml").write_bytes(self.DOCUMENT)
+        return corpus
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "IN"],
+        ["normalize", "IN", "--out", "OUT"],
+        ["convert", "IN", "--to", "text", "--out", "OUT"],
+        ["convert", "IN", "--to", "bilexical", "--out", "OUT"],
+        ["evaluate", "--gold", "IN", "--system", "IN"],
+    ], ids=["stats", "normalize", "convert-text", "convert-bilexical", "evaluate"])
+    def test_loads(self, capsys, tmp_path, corpus, argv):
+        paths = {"IN": str(corpus), "OUT": str(tmp_path / "out")}
+        code, _, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+        assert (code, err) == (cli.EXIT_OK, "")
+
+    def test_validate_reports_both_edges(self, capsys, corpus):
+        code, out, err = run(capsys, "validate", str(corpus))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == (
+            "7\tV3\t1.2->0.3\tpunctuation token attached as A, expected U\n"
+            "7\tV3\t1.2->0.1\tU edge points at a non-punctuation node\n"
+        )
+        code, _, _ = run(capsys, "validate", str(corpus), "--strict")
+        assert code == cli.EXIT_VIOLATIONS
+
+
 class TestOverlongNodeId:
     """An id with more digits than int() converts is refused by name, like
     any bad id, and not with a traceback."""

@@ -27,7 +27,6 @@ from uccakit.stats import corpus_stats
 from uccakit.validation import validate
 
 from .helpers import (
-    PUNCT,
     deep_center_chain,
     random_passage,
     reference_assemble,
@@ -305,10 +304,15 @@ class TestAddEdge:
         p.add_edge(p.root, u, "A", remote=True)
         assert len(p.edges) == 2
 
-    def test_remote_to_punctuation_rejected(self):
+    def test_remote_to_punctuation_accepted(self):
+        # What the label says of the child is V3's to judge, not the linker's.
         p = build_passage("p", [",", "y"])
-        with pytest.raises(GraphError):
-            p.add_edge(p.root, p.terminal_id(1), "U", remote=True)
+        p.add_edge(p.root, p.terminal_id(1), "U")
+        p.add_edge(p.root, p.terminal_id(2), "C")
+        p.add_edge(p.root, p.terminal_id(1), "A", remote=True)
+        p.freeze()
+        assert p.edges[-1] == Edge(p.root, p.terminal_id(1), Category.from_code("A"), True)
+        assert p.is_reentrant(p.terminal_id(1))
 
     def test_add_edge_refuses_unregistered_category_as_assemble_does(self):
         # add_edge once put the registered Category of the code in its place.
@@ -473,9 +477,15 @@ class TestSealedTables:
             assert p.outgoing(node.id) is p.outgoing(node.id)
             assert p.incoming(node.id) is p.incoming(node.id)  # one table, built once
         reentrant = next(n.id for n in p.nodes if p.is_reentrant(n.id))
-        for table in (p.terminals, p.nodes, p.edges, p.outgoing(p.root),
+        for table in (p.terminals, p.nodes, p.non_terminals, p.edges, p.outgoing(p.root),
                       p.incoming(reentrant), p.bottom_up()):
             assert type(table) is tuple
+
+    def test_freeze_again_changes_nothing(self, remote_passage):
+        p = remote_passage
+        order, masks = p.bottom_up(), p.yield_masks()
+        assert p.freeze() is p
+        assert p.bottom_up() is order and p.yield_masks() is masks
 
     def test_snapshots_while_building(self):
         p = build_passage("p", ["x", "y"])
@@ -483,7 +493,7 @@ class TestSealedTables:
         p.add_edge(p.root, u, "H")
         x = p.terminal_id(1)
         before = p.edges, p.nodes, p.outgoing(u)
-        assert all(type(table) is tuple for table in before)
+        assert all(type(table) is tuple for table in (*before, p.non_terminals))
         p.add_node(NodeKind.IMPLICIT)
         p.add_edge(u, x, "A")
         p.add_edge(u, p.terminal_id(2), "C")
@@ -735,9 +745,8 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
     children = [n.id for n in p.nodes if n.id != p.root]
     category = p.edges[0].category
     primary = [e for e in edges if not e.remote]
-    punct = [t.id for t in p.terminals if t.text in PUNCT]
     defect = rng.choice([
-        "duplicate", "second-primary", "implicit-parent", "terminal-parent", "remote-punct",
+        "duplicate", "second-primary", "implicit-parent", "terminal-parent",
         "unknown-parent", "unknown-child", "self-loop", "cycle", "unreachable", "root-parent",
         "terminal-unit", "kind-value", "taken-id", "wrong-layer", "remote-only", "unknown-code",
         "renamed-code",
@@ -752,8 +761,6 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
         added = Edge(unit, rng.choice(children), category, rng.random() < 0.5)
     elif defect == "terminal-parent":
         added = Edge(p.terminals[0].id, rng.choice(children), category, False)
-    elif defect == "remote-punct" and punct:
-        added = Edge(rng.choice(parents), rng.choice(punct), category, True)
     elif defect == "unknown-parent":
         added = Edge(NodeId(1, 999), rng.choice(children), category, False)
     elif defect == "unknown-child":

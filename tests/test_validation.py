@@ -10,7 +10,7 @@ from uccakit.errors import GraphError
 from uccakit.graph import NodeKind, build_passage
 from uccakit.validation import RULES, RuleSet, normalize, validate
 
-from .helpers import random_passage, rebuild, relabel
+from .helpers import CODES, PUNCT, random_passage, rebuild, relabel
 from .samples import implicit_sample, remote_sample
 
 legacy_passages = st.integers(0, 2**32 - 1).map(
@@ -185,6 +185,47 @@ class TestRuleSubsets:
 
     def test_hand_written_passage_breaks_v0_to_v3(self):
         assert {v.rule for v in validate(breaks_v0_to_v3()).violations} == {"V0", "V1", "V2", "V3"}
+
+
+def relabeled_copy(p, rng):
+    """A copy of `p` with about a third of its edges, primary and remote,
+    relabeled onto U or off it; a relabeling that would repeat an edge is skipped."""
+    taken = set(p.edges)
+
+    def edit(edge):
+        if rng.random() < 0.3:
+            new = relabel(edge, rng.choice(CODES) if edge.category.code == "U" else "U")
+            if new not in taken:
+                taken.add(new)
+                return new
+        return edge
+
+    return rebuild(p, edit)
+
+
+class TestPunctuationRule:
+    """V3 judges every edge, primary or remote: it flags exactly the edges
+    whose child is a punctuation terminal xor whose label is U, in edge order."""
+
+    @staticmethod
+    def expected(p):
+        flagged = []
+        for parent, child, category, _ in p.edges:
+            node = p.node(child)
+            punct = node.is_terminal and node.text in PUNCT
+            if punct != (category.code == "U"):
+                message = (f"punctuation token attached as {category.code}, expected U" if punct
+                           else "U edge points at a non-punctuation node")
+                flagged.append(("V3", f"{parent}->{child}", message))
+        return flagged
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        p = random_passage(rng, max_remotes=4)
+        for q in (p, relabeled_copy(p, rng)):
+            assert [tuple(v) for v in validate(q, RuleSet({"V3"})).violations] == self.expected(q)
 
 
 class TestValidate:
