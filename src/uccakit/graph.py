@@ -161,8 +161,6 @@ class Passage:
         # Each node's incoming edges, built by the first incoming().
         self._in: dict[NodeId, tuple[Edge, ...]] = {}
         self.root = NodeId(UNIT_LAYER, 1) if root_id is None else root_id
-        if type(self.root) is NodeId and self.root.layer != UNIT_LAYER:  # _add_units checks the type
-            raise GraphError(f"root must live in layer {UNIT_LAYER}: {shown(self.root)}")
         self._add_units([(self.root, NodeKind.NON_TERMINAL)])
 
     # -- construction -----------------------------------------------------
@@ -382,10 +380,10 @@ class Passage:
             if kind is not NodeKind.NON_TERMINAL and kind is not NodeKind.IMPLICIT:
                 raise GraphError("terminals are fixed by the token sequence" if kind is NodeKind.TERMINAL
                                  else f"not a unit's NodeKind: {shown(kind)!r}")
-            if node_id in nodes:
-                raise GraphError(f"node id already taken: {shown(node_id)}")
             if node_id[0] != UNIT_LAYER:
                 raise GraphError(f"units must live in layer {UNIT_LAYER}: {shown(node_id)}")
+            if node_id in nodes:
+                raise GraphError(f"node id already taken: {shown(node_id)}")
             nodes[node_id] = _new(Node, (node_id, kind, None, None))
             out[node_id] = []
             if node_id[1] > top:

@@ -453,10 +453,10 @@ def _reference_add_node(passage: Passage, in_: dict, kind: NodeKind, node_id: No
         raise GraphError("terminals are fixed by the token sequence")
     if kind not in (NodeKind.NON_TERMINAL, NodeKind.IMPLICIT):
         raise GraphError(f"not a unit's NodeKind: {shown(kind)!r}")
-    if node_id in passage._nodes:
-        raise GraphError(f"node id already taken: {shown(node_id)}")
     if node_id.layer != UNIT_LAYER:
         raise GraphError(f"units must live in layer {UNIT_LAYER}: {shown(node_id)}")
+    if node_id in passage._nodes:
+        raise GraphError(f"node id already taken: {shown(node_id)}")
     passage._nodes[node_id] = Node(node_id, kind)
     passage._out.setdefault(node_id, [])
     in_.setdefault(node_id, [])

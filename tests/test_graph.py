@@ -139,7 +139,7 @@ class TestBuildPassage:
         assert type(p.terminal_id(1)) is NodeId
 
     def test_root_outside_layer_one_rejected(self):
-        with pytest.raises(GraphError, match=r"^root must live in layer 1: 0\.1$"):
+        with pytest.raises(GraphError, match=r"^units must live in layer 1: 0\.1$"):
             Passage("p", ["a"], root_id=NodeId(0, 1))
 
     @pytest.mark.parametrize("build, message", [
@@ -213,6 +213,33 @@ class TestAddNode:
         with pytest.raises(GraphError, match=r"^not a unit's NodeKind: "):
             Passage.assemble("q", ["x"], NodeId(1, 1), [(NodeId(1, 2), kind)], [])
         assert len(p.nodes) == 2  # nothing registered
+
+
+class TestUnitLayer:
+    """Every door refuses a unit outside layer 1 with one message: the root
+    or not, read from XML or added through the API, and whether or not its
+    id names a token."""
+
+    @staticmethod
+    def read(unit: str) -> Passage:
+        return parse_xml(
+            '<root passageID="p"><layer layerID="0"><node ID="0.1" type="Word"><attributes text="a"/>'
+            '</node></layer><layer layerID="1"><node ID="1.1" type="FN"><edge toID="0.1" type="H"/>'
+            f'<edge toID="{unit}" type="A"/></node><node ID="{unit}" type="FN"/></layer></root>'.encode())
+
+    @pytest.mark.parametrize("index", [1, 9], ids=["names-a-token", "names-none"])
+    @pytest.mark.parametrize("door", [
+        lambda nid: TestUnitLayer.read(str(nid)),
+        lambda nid: Passage("p", ["a", "b"], root_id=nid),
+        lambda nid: build_passage("p", ["a", "b"]).add_node(NodeKind.NON_TERMINAL, nid),
+        lambda nid: Passage.assemble("p", ["a"], NodeId(1, 1), [(nid, NodeKind.IMPLICIT)], []),
+    ], ids=["parse_xml", "root_id", "add_node", "assemble"])
+    def test_layer_zero_id_refused(self, door, index):
+        nid = NodeId(0, index)
+        with pytest.raises(GraphError) as raised:
+            door(nid)
+        assert type(raised.value) is GraphError
+        assert str(raised.value) == f"units must live in layer 1: {nid}"
 
 
 class TestAddEdge:
@@ -427,7 +454,7 @@ LONG_ID_CASES = {
         "1.", "node id already taken: {u}"),
     "root-in-layer-0": (
         '<node ID="{u}" type="FN"><edge toID="0.1" type="H"/></node>',
-        "0.", "root must live in layer 1: {u}"),
+        "0.", "units must live in layer 1: {u}"),
     "reachability": (
         '<node ID="1.1" type="FN"><edge toID="0.1" type="H"/>'
         '<edge toID="{u}" type="A"><attributes remote="True"/></edge></node>'
@@ -486,6 +513,23 @@ class TestSealedTables:
         order, masks = p.bottom_up(), p.yield_masks()
         assert p.freeze() is p
         assert p.bottom_up() is order and p.yield_masks() is masks
+
+    @pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_sealed_passage_copies(self, copier):
+        rng = random.Random(0)
+        read = parse_xml(serialize_xml(random_passage(rng, max_tokens=12, max_units=8, max_remotes=3,
+                                                      legacy_labels=True)))
+        relabeled = normalize(read)
+        assert relabeled is not read  # the draw holds a legacy label
+        for original in (read, relabeled):
+            clone = copier(original)
+            assert clone is not original and clone == original and clone.sealed
+            assert clone.bottom_up() == original.bottom_up()
+            assert clone.yield_masks() == original.yield_masks()
+            assert score_passage(clone, original).labeled["all"].f1 == 1.0
+            with pytest.raises(SealedPassage):
+                clone.add_edge(clone.root, clone.terminal_id(1), "A", remote=True)
 
     def test_snapshots_while_building(self):
         p = build_passage("p", ["x", "y"])
