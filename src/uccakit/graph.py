@@ -12,11 +12,11 @@ a bottom-up node order and, in that order, fills the yields of all nodes:
 integer masks with bit k set for token k, decoded to positions only where
 a yield leaves the library.
 
-Queries that read a table only a sealed passage keeps, ``incoming``, the
-yields and ``bottom_up``, need a sealed passage; those that read what
-``add_node`` and ``add_edge`` maintain (``nodes``, ``edges``, ``outgoing``,
-``terminals``, ``node``, ``non_terminals``) answer at any time.  Accessors
-return tuples: a sealed passage's own tables, or snapshots while building.
+Queries that read a table only sealing starts (``incoming``, ``bottom_up``, the
+yields) need a sealed passage; those on what ``add_node`` and ``add_edge`` maintain
+(``nodes``, ``edges``, ``outgoing``, ``terminals``, ``node``, ``non_terminals``)
+answer at any time.  Accessors return tuples, new ones from ``nodes``, ``non_terminals``
+and a passage being built, but ``yield_masks`` a read-only view of its table.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 from enum import Enum
 from itertools import count, repeat
+from types import MappingProxyType
 
 from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category
 from .errors import (
@@ -155,11 +156,6 @@ class Passage:
         self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
         self._has_parent: set[NodeId] = set()  # the child of every primary edge
         self._max_unit_index = 0
-        # Both set by freeze; normalize's copies share them.
-        self._order: tuple[NodeId, ...] = ()
-        self._yields: dict[NodeId, int] = {}
-        # Each node's incoming edges, built by the first incoming().
-        self._in: dict[NodeId, tuple[Edge, ...]] = {}
         self.root = NodeId(UNIT_LAYER, 1) if root_id is None else root_id
         self._add_units([(self.root, NodeKind.NON_TERMINAL)])
 
@@ -304,11 +300,11 @@ class Passage:
             self._in = dict(zip(table, map(tuple, table.values())))
         return self._in[self.node(node_id).id]
 
-    def yield_masks(self) -> dict[NodeId, int]:
-        """Every node's yield as a mask with bit k set for token k: the
-        table itself, to be read and not changed."""
+    def yield_masks(self) -> MappingProxyType[NodeId, int]:
+        """Every node's yield as a mask with bit k set for token k: a
+        read-only view of the table."""
         self.require_sealed()
-        return self._yields
+        return MappingProxyType(self._yields)
 
     def yield_of(self, node_id: NodeId) -> tuple[int, ...]:
         """Token positions of all terminal descendants via primary edges,
@@ -365,9 +361,10 @@ class Passage:
             raise SealedPassage(f"passage {shown(self.passage_id)} is sealed")
 
     def _seal(self) -> None:
-        """Store the edge tables as tuples, once every check has passed."""
+        """Store the edge tables as tuples and start the incoming cache, once every check has passed."""
         self._edges, out = tuple(self._edges), self._out
         self._out = dict(zip(out, map(tuple, out.values())))
+        self._in = {}  # each node's incoming edges, filled by the first incoming()
         self._sealed = True
 
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
@@ -422,11 +419,11 @@ class Passage:
 def normalize(passage: Passage) -> Passage:
     """Relabel every T edge to D and every Q edge to E.
 
-    The input must be sealed.  One without a legacy label is returned as
-    is; otherwise the input keeps its labels.  Relabeling cannot
-    change the primary tree, so the sealed copy shares the input's nodes,
-    parented set, bottom-up order and yields; only the edge tables are new,
-    linked without the checks that relabeling cannot break.  A remote edge
+    The input must be sealed.  One without a legacy label is returned as is;
+    otherwise the input keeps its labels.  Relabeling cannot change the primary
+    tree, so the sealed copy shares the input's nodes, parented set, bottom-up
+    order and yields; its edge tables, linked without the checks relabeling cannot
+    break, and the incoming cache that sealing starts are its own.  A remote edge
     equal to one linked before it, which only relabeling can make, is dropped.
     """
     passage.require_sealed()
@@ -435,7 +432,6 @@ def normalize(passage: Passage) -> Passage:
     fresh = object.__new__(type(passage))
     fresh.__dict__.update(passage.__dict__)  # copy.copy, without importing copy
     fresh._edges = edges = []
-    fresh._in = {}  # its edges are not the input's
     fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in passage._nodes}
     for edge in passage._edges:
         parent, child, category, remote = edge

@@ -506,6 +506,7 @@ def _reference_freeze(passage: Passage, in_: dict) -> Passage:
     passage._order = tuple(order[::-1])
     passage._edges = tuple(passage._edges)
     passage._out = {nid: tuple(children) for nid, children in passage._out.items()}
+    passage._in = {}
     passage._sealed = True
     passage._yields = {nid: sum(1 << k for k in positions)
                        for nid, positions in reference_yields(passage).items()}

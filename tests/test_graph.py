@@ -510,9 +510,26 @@ class TestSealedTables:
 
     def test_freeze_again_changes_nothing(self, remote_passage):
         p = remote_passage
-        order, masks = p.bottom_up(), p.yield_masks()
+        order, masks = p.bottom_up(), p._yields
         assert p.freeze() is p
-        assert p.bottom_up() is order and p.yield_masks() is masks
+        assert p.bottom_up() is order and p._yields is masks  # yield_masks() makes a new view per call
+
+    def test_yield_masks_refuses_writes(self):
+        """yield_masks() is a read-only view: a write through it, which would
+        change the yields of the passage and of every normalize copy sharing
+        them, raises TypeError instead."""
+        rng = random.Random(0)
+        read = parse_xml(serialize_xml(random_passage(rng, max_tokens=12, max_units=8, max_remotes=3,
+                                                      legacy_labels=True)))
+        relabeled = normalize(read)
+        assert relabeled is not read  # the draw holds a legacy label
+        for p in (read, relabeled):
+            masks = p.yield_masks()
+            for nid in masks:
+                with pytest.raises(TypeError):
+                    masks[nid] = 0
+        for p in (relabeled, normalize(read)):
+            assert score_passage(p, p).labeled["all"].gold == 13
 
     @pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy],
                              ids=["pickle", "copy", "deepcopy"])
