@@ -6,15 +6,15 @@ by stem, or two given files with each other; stats takes each input once.  Exit
 codes: 0 success, 1 usage error (such as a stats input given twice, or a normalize
 --out that is the input's directory, path named on stderr), output closed early
 (`| head`), output that stdout cannot encode, or an output path that cannot be
-written (path named on stderr), 2 parse error (a DOCTYPE is refused), or an
-input that is missing, a directory holding no *.xml file, or neither a regular
-file nor a directory (a FIFO or a device, never opened; a directory's *.xml
-entries must be regular files), or, for convert, a token holding a tab or a line
-break, or, for validate without --json, a passage id holding one (none of that
-file's lines printed), offending path named on stderr, 3 token mismatch between
-system and gold (both paths named on stderr, with the first difference), 4
-validation violations under --strict.  normalize and convert write only once
-every input has loaded, so a refused input leaves --out as it was.
+written (path named on stderr), 2 parse error (a DOCTYPE is refused, and a terminal
+type but Word or Punctuation), or an input that is missing, a directory holding no
+*.xml file, or neither a regular file nor a directory (a FIFO or a device, never
+opened; a directory's *.xml entries must be regular files), or, for convert, a token
+holding a tab or a line break, or, for validate without --json, a passage id holding
+one (none of that file's lines printed), offending path named on stderr, 3 token
+mismatch between system and gold (both paths named on stderr, with the first
+difference), 4 validation violations under --strict.  normalize and convert write
+only once every input has loaded, so a refused input leaves --out as it was.
 """
 from __future__ import annotations
 

@@ -34,7 +34,9 @@ with no incoming edge, and it is not implicit.
 parse_xml reads with pyexpat, keeping only the elements above: it reads XML
 as ElementTree did, refusing with its messages, but refuses a DOCTYPE, so no
 entity but XML's five predefined ones is expanded.  A node id is read only in
-the spelling that str(NodeId) writes: "1.02" or " 1.1 " names no node.
+the spelling that str(NodeId) writes: "1.02" or " 1.1 " names no node.  A
+terminal's type is read, kept by the passage and written back; a type other
+than "Word" or "Punctuation", or none, is refused.
 
 The bi-lexical export is lossy by design: remote edges and implicit nodes
 are dropped, and each unit is collapsed onto one lexical head by the rule
@@ -47,7 +49,7 @@ from xml.parsers.expat import ExpatError, ParserCreate
 
 from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category
 from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax, shown
-from .graph import Edge, NodeId, NodeKind, Passage, is_punctuation
+from .graph import Edge, NodeId, NodeKind, Passage
 
 # -- XML ------------------------------------------------------------------
 
@@ -70,7 +72,7 @@ def parse_xml(document: bytes | str) -> Passage:
         raise XmlFormatError("document must contain layers 0 and 1")
 
     new = tuple.__new__  # checked fields: each record is built without its Python __new__
-    tokens = []
+    tokens, punctuation = [], []
     ids: dict[str, NodeId] = {}  # terminal ids, then declared unit ids, by the text of their ID
     for position, (attrs, attributes, _, _) in enumerate(layers["0"], start=1):
         nid = attrs.get("ID", "")
@@ -78,6 +80,11 @@ def parse_xml(document: bytes | str) -> Passage:
             raise XmlFormatError(f"terminal {position} has ID {shown(nid)!r}, expected 0.{position}")
         if attributes is None or "text" not in attributes:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
+        kind = attrs.get("type")
+        if kind != "Word":
+            if kind != "Punctuation":
+                raise XmlFormatError(f"terminal {nid} has type {shown(kind)!r}, expected Word or Punctuation")
+            punctuation.append(position)
         tokens.append(attributes["text"])
         ids[nid] = new(NodeId, (0, position))
 
@@ -114,7 +121,7 @@ def parse_xml(document: bytes | str) -> Passage:
     if root_kind is NodeKind.IMPLICIT:
         raise XmlFormatError(f"root unit {shown(root_id)} is marked implicit")
     others = [unit for unit in units if unit[0] != root_id]
-    return Passage.assemble(passage_id, tokens, root_id, others, edges)
+    return Passage.assemble(passage_id, tokens, root_id, others, edges, punctuation)
 
 
 def _read_elements(document: bytes | str) -> list:
@@ -160,11 +167,12 @@ def serialize_xml(passage: Passage) -> bytes:
     """Deterministic UTF-8 document: nodes in id order, edges in insertion
     order.  parse_xml(serialize_xml(p)) is structurally identical to p."""
     passage.require_sealed()
+    punctuation = passage.punctuation
     lines = ["<?xml version='1.0' encoding='utf-8'?>",
              f'<root passageID="{passage.passage_id.translate(_ESCAPES)}">',
              '  <layer layerID="0">']
     for t in passage.terminals:
-        kind = "Punctuation" if is_punctuation(t.text) else "Word"
+        kind = "Punctuation" if t.id in punctuation else "Word"
         text = t.text.translate(_ESCAPES)
         lines += (f'    <node ID="0.{t.position}" type="{kind}">',
                   f'      <attributes text="{text}" paragraph="1" paragraph_position="{t.position}" />',

@@ -12,11 +12,11 @@ a bottom-up node order and, in that order, fills the yields of all nodes:
 integer masks with bit k set for token k, decoded to positions only where
 a yield leaves the library.
 
-Queries that read a table only sealing starts (``incoming``, ``bottom_up``, the
-yields) need a sealed passage; those on what ``add_node`` and ``add_edge`` maintain
-(``nodes``, ``edges``, ``outgoing``, ``terminals``, ``node``, ``non_terminals``)
-answer at any time.  Accessors return tuples, new ones from ``nodes``, ``non_terminals``
-and a passage being built, but ``yield_masks`` a read-only view of its table.
+Queries that read a table only sealing starts (``incoming``, ``bottom_up``, the yields) need
+a sealed passage; those on what construction, ``add_node`` and ``add_edge`` maintain (``nodes``,
+``edges``, ``outgoing``, ``terminals``, ``punctuation``, ``node``, ``non_terminals``) answer at
+any time.  Accessors return tuples, new ones from ``nodes``, ``non_terminals`` and a passage
+being built, but ``yield_masks`` a read-only view of its table, ``punctuation`` a frozenset.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ def _refuse_non_xml(text: str, where: str) -> None:
 
 
 def is_punctuation(text: str) -> bool:
-    """True iff the token contains no letter or digit (Unicode classes)."""
+    """True iff the token has no letter or digit (Unicode classes): the guess for a passage built by the API."""
     return not any(ch.isalnum() for ch in text)
 
 
@@ -126,9 +126,10 @@ class Passage:
     Construction starts from the token sequence: ``Passage(pid, tokens)``
     creates terminals at layer 0 positions 1..n and a root unit in
     layer 1; a token or id holding a character XML cannot carry is
-    refused, so every passage serializes.  Units and edges are then added
-    incrementally; ``freeze()`` verifies the global invariants and seals
-    the passage.
+    refused, so every passage serializes.  The terminals typed Punctuation are those at
+    the 1-based positions ``punctuation`` lists, else those whose token is_punctuation.
+    Units and edges are then added incrementally; ``freeze()`` verifies the
+    global invariants and seals the passage.
     """
 
     def __init__(
@@ -136,6 +137,7 @@ class Passage:
         passage_id: str,
         tokens: Iterable[str],
         root_id: NodeId | None = None,
+        punctuation: Iterable[int] | None = None,
     ):
         tokens = tuple(tokens)
         if not tokens:
@@ -151,6 +153,8 @@ class Passage:
         terminals = zip(ids, repeat(NodeKind.TERMINAL), tokens, count(1))
         self._terminals: tuple[Node, ...] = tuple(map(_new, repeat(Node), terminals))
         self._nodes: dict[NodeId, Node] = dict(zip(ids, self._terminals))
+        guessed = (nid for nid, token in zip(ids, tokens) if is_punctuation(token))
+        self._punctuation = frozenset(guessed if punctuation is None else map(self.terminal_id, punctuation))
         self._edges: list[Edge] | tuple[Edge, ...] = []
         # A terminal has no children: one shared () stands for every list.
         self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
@@ -169,6 +173,7 @@ class Passage:
         root_id: NodeId,
         units: Iterable[tuple[NodeId, NodeKind]],
         edges: Iterable[Edge],
+        punctuation: Iterable[int] | None = None,
     ) -> "Passage":
         """Build and seal a passage in bulk, as a reader of a whole document does.
 
@@ -176,7 +181,7 @@ class Passage:
         add_edge's linker, _link, each list in one loop; freeze then checks
         the whole passage, cycles included.
         """
-        built = cls(passage_id, tokens, root_id=root_id)
+        built = cls(passage_id, tokens, root_id=root_id, punctuation=punctuation)
         built._add_units(units)
         built._link(edges)
         return built.freeze()
@@ -265,6 +270,10 @@ class Passage:
         return self._terminals[position - 1].id
 
     @property
+    def punctuation(self) -> frozenset[NodeId]:
+        return self._punctuation
+
+    @property
     def nodes(self) -> tuple[Node, ...]:
         return tuple(self._nodes.values())
 
@@ -335,13 +344,14 @@ class Passage:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Structural identity: same id, nodes, root and edge multiset."""
+        """Structural identity: same id, nodes, punctuation, root and edge multiset."""
         if not isinstance(other, Passage):
             return NotImplemented
         return (
             self.passage_id == other.passage_id
             and self.root == other.root
             and self._nodes == other._nodes
+            and self._punctuation == other._punctuation
             and Counter(self._edges) == Counter(other._edges)
         )
 

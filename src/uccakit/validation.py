@@ -10,7 +10,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .categories import LEGACY, PUNCT_CODE
-from .graph import Passage, is_punctuation, normalize  # noqa: F401 (perfbench/traced.py calls validation.normalize)
+from .graph import Passage, normalize  # noqa: F401 (perfbench/traced.py calls validation.normalize)
 from .records import Record
 
 RULES = {
@@ -93,9 +93,9 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
         if "A" not in codes:
             flag("V2", unit.id, "Scene without a Participant")
 
+    punctuation = passage.punctuation
     for parent, child, category, _ in passage.edges:
-        node = passage.node(child)
-        punct = node.is_terminal and is_punctuation(node.text)
+        punct = child in punctuation
         if punct and category.code != PUNCT_CODE:
             flag("V3", f"{parent}->{child}", f"punctuation token attached as {category.code}, expected U")
         if not punct and category.code == PUNCT_CODE:

@@ -89,12 +89,21 @@ def random_pair(rng: random.Random) -> tuple[Passage, Passage]:
     return first, second
 
 
-def rebuild(passage: Passage, edit=None) -> Passage:
+def punctuation_positions(passage: Passage) -> list[int]:
+    """The positions of the terminals a passage types Punctuation, in order."""
+    return sorted(nid.index for nid in passage.punctuation)
+
+
+def rebuild(passage: Passage, edit=None, punctuation=None) -> Passage:
     """Copy a sealed passage, passing each edge through `edit`.
 
-    `edit` maps an Edge to a replacement Edge or None to drop it.
+    `edit` maps an Edge to a replacement Edge or None to drop it.  The copy
+    types Punctuation the terminals at the positions `punctuation` lists,
+    or by default those the passage does.
     """
-    fresh = Passage(passage.passage_id, passage.tokens, root_id=passage.root)
+    if punctuation is None:
+        punctuation = punctuation_positions(passage)
+    fresh = Passage(passage.passage_id, passage.tokens, root_id=passage.root, punctuation=punctuation)
     for node in passage.nodes:
         if node.kind is not NodeKind.TERMINAL and node.id != passage.root:
             fresh.add_node(node.kind, node_id=node.id)
@@ -103,6 +112,14 @@ def rebuild(passage: Passage, edit=None) -> Passage:
         if edited is not None:
             fresh.add_edge(edited.parent, edited.child, edited.category, remote=edited.remote)
     return fresh.freeze()
+
+
+def flipped_types(passage: Passage, rng: random.Random) -> list[int]:
+    """Punctuation positions for the passage's tokens with each type drawn
+    against is_punctuation: a punctuation token typed Word or a word typed
+    Punctuation, each at random."""
+    return [position for position, token in enumerate(passage.tokens, start=1)
+            if is_punctuation(token) != (rng.random() < 0.5)]
 
 
 def relabel(edge, code):
@@ -271,7 +288,7 @@ def reference_serialize_xml(passage: Passage) -> bytes:
     root = ET.Element("root", passageID=passage.passage_id)
     layer0 = ET.SubElement(root, "layer", layerID="0")
     for terminal in passage.terminals:
-        kind = "Punctuation" if is_punctuation(terminal.text) else "Word"
+        kind = "Punctuation" if terminal.id in passage.punctuation else "Word"
         node = ET.SubElement(layer0, "node", ID=str(terminal.id), type=kind)
         ET.SubElement(
             node,
@@ -377,7 +394,7 @@ def reference_parse_xml(document: bytes | str) -> Passage:
     if "0" not in layers or "1" not in layers:
         raise XmlFormatError("document must contain layers 0 and 1")
 
-    tokens = []
+    tokens, punctuation = [], []
     for position, node in enumerate(layers["0"].findall("node"), start=1):
         nid = node.attrib.get("ID", "")
         if nid != f"0.{position}":
@@ -385,6 +402,11 @@ def reference_parse_xml(document: bytes | str) -> Passage:
         attributes = node.find("attributes")
         if attributes is None or "text" not in attributes.attrib:
             raise XmlFormatError(f"terminal {nid} lacks a text attribute")
+        kind = node.attrib.get("type")
+        if kind not in ("Word", "Punctuation"):
+            raise XmlFormatError(f"terminal {nid} has type {shown(kind)!r}, expected Word or Punctuation")
+        if kind == "Punctuation":
+            punctuation.append(position)
         tokens.append(attributes.attrib["text"])
 
     units: list[tuple[NodeId, NodeKind]] = []
@@ -424,20 +446,21 @@ def reference_parse_xml(document: bytes | str) -> Passage:
     if root_kind is NodeKind.IMPLICIT:
         raise XmlFormatError(f"root unit {shown(root_id)} is marked implicit")
     others = [unit for unit in units if unit[0] != root_id]
-    return reference_assemble(passage_id, tokens, root_id, others, edges)
+    return reference_assemble(passage_id, tokens, root_id, others, edges, punctuation=punctuation)
 
 
 # -- reference assembly ---------------------------------------------------
 
 
-def reference_assemble(passage_id, tokens, root_id, units, edges, incoming=None) -> Passage:
+def reference_assemble(passage_id, tokens, root_id, units, edges, incoming=None, punctuation=None) -> Passage:
     """The assembly that Passage.assemble's bulk loops replaced, kept as
     their oracle: add_node's checks and registration once per unit, _link's
     checks once per edge against each node's list of incoming edges, then
     the freeze loop that listed each node's primary parents.  Like
     Passage.assemble it runs no cycle search.  If `incoming` is given, it
-    receives those lists: each node's incoming edges in the order linked."""
-    passage = Passage(passage_id, tokens, root_id=root_id)
+    receives those lists: each node's incoming edges in the order linked.
+    `punctuation` passes to the passage as it does through Passage.assemble."""
+    passage = Passage(passage_id, tokens, root_id=root_id, punctuation=punctuation)
     in_ = {nid: [] for nid in passage._nodes}
     for node_id, kind in units:
         _reference_add_node(passage, in_, kind, node_id)

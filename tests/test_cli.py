@@ -283,8 +283,9 @@ class TestValidate:
 
 
 class TestRemoteEdgeIntoPunctuation:
-    """A remote A edge into a Word-typed "%" and a remote U edge into a word
-    load on every command; validate reports both through V3."""
+    """A remote A edge into a "%" and a remote U edge into a word load on
+    every command; validate judges each edge by the type that the document
+    gives its child, not by the child's text."""
 
     DOCUMENT = b"""<?xml version='1.0' encoding='utf-8'?>
 <root passageID="7">
@@ -328,14 +329,70 @@ class TestRemoteEdgeIntoPunctuation:
         assert (code, err) == (cli.EXIT_OK, "")
 
     def test_validate_reports_both_edges(self, capsys, corpus):
+        # The "%" is typed Word, so its primary U edge is the one flagged, not the remote A.
         code, out, err = run(capsys, "validate", str(corpus))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == (
+            "7\tV3\t1.1->0.3\tU edge points at a non-punctuation node\n"
+            "7\tV3\t1.2->0.1\tU edge points at a non-punctuation node\n"
+        )
+        code, _, _ = run(capsys, "validate", str(corpus), "--strict")
+        assert code == cli.EXIT_VIOLATIONS
+
+    def test_validate_reports_remote_edge_into_punctuation(self, capsys, tmp_path):
+        path = tmp_path / "percent.xml"
+        path.write_bytes(self.DOCUMENT.replace(b'"0.3" type="Word"', b'"0.3" type="Punctuation"'))
+        code, out, err = run(capsys, "validate", str(path))
         assert (code, err) == (cli.EXIT_OK, "")
         assert out == (
             "7\tV3\t1.2->0.3\tpunctuation token attached as A, expected U\n"
             "7\tV3\t1.2->0.1\tU edge points at a non-punctuation node\n"
         )
-        code, _, _ = run(capsys, "validate", str(corpus), "--strict")
-        assert code == cli.EXIT_VIOLATIONS
+
+
+class TestTerminalTypeFromDocument:
+    """A terminal's type is the document's: a Word-typed "%" and a
+    Punctuation-typed "x" are judged by it and written back as read."""
+
+    DOCUMENT = b"""<?xml version='1.0' encoding='utf-8'?>
+<root passageID="typed">
+  <layer layerID="0">
+    <node ID="0.1" type="Word">
+      <attributes text="Sales" paragraph="1" paragraph_position="1" />
+    </node>
+    <node ID="0.2" type="Punctuation">
+      <attributes text="x" paragraph="1" paragraph_position="2" />
+    </node>
+    <node ID="0.3" type="Word">
+      <attributes text="%" paragraph="1" paragraph_position="3" />
+    </node>
+  </layer>
+  <layer layerID="1">
+    <node ID="1.1" type="FN">
+      <edge toID="0.1" type="C" />
+      <edge toID="0.2" type="A" />
+      <edge toID="0.3" type="E" />
+    </node>
+  </layer>
+</root>
+"""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "in" / "typed.xml"
+        path.parent.mkdir()
+        path.write_bytes(self.DOCUMENT)
+        return path
+
+    def test_normalize_writes_types_back(self, capsys, tmp_path, path):
+        code, _, err = run(capsys, "normalize", str(path.parent), "--out", str(tmp_path / "out"))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert (tmp_path / "out" / "typed.xml").read_bytes() == self.DOCUMENT
+
+    def test_validate_judges_by_type(self, capsys, path):
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == "typed\tV3\t1.1->0.2\tpunctuation token attached as A, expected U\n"
 
 
 class TestOverlongNodeId:
@@ -652,6 +709,14 @@ class TestRefusedInputWritesNothing:
         (["convert", "--to", "bilexical"], "a.tsv"),
     ], ids=["normalize", "convert-text", "convert-bilexical"])
 
+    #: b.xml as the remote sample with its terminal 0.2 typed otherwise than Word or
+    #: Punctuation, and the value that stderr names.
+    BAD_TYPES = pytest.mark.parametrize("new, value", [
+        (b'"0.2" type="Banana"', "'Banana'"),
+        (b'"0.2"', "None"),
+        (b'"0.2" type="' + b"B" * 5000 + b'"', "'BBBBBBBBBBBB... (5000 characters)'"),
+    ], ids=["banana", "missing", "long"])
+
     @pytest.fixture
     def half_broken(self, tmp_path):
         source = tmp_path / "e"
@@ -660,10 +725,11 @@ class TestRefusedInputWritesNothing:
         (source / "b.xml").write_bytes(b"<root")
         return source
 
-    def refused(self, capsys, command, source, out):
+    def refused(self, capsys, command, source, out,
+                message="malformed XML: unclosed token: line 1, column 0"):
         code, stdout, err = run(capsys, *command, str(source), "--out", str(out))
         assert (code, stdout) == (cli.EXIT_PARSE, "")
-        assert err == f"{source / 'b.xml'}: malformed XML: unclosed token: line 1, column 0\n"
+        assert err == f"{source / 'b.xml'}: {message}\n"
 
     @COMMANDS
     def test_no_out_directory(self, capsys, tmp_path, half_broken, command, name):
@@ -687,6 +753,21 @@ class TestRefusedInputWritesNothing:
         out.write_bytes(b"")
         self.refused(capsys, command, half_broken, out)
         assert out.read_bytes() == b""
+
+    @COMMANDS
+    @BAD_TYPES
+    def test_terminal_type_refused(self, capsys, tmp_path, half_broken, command, name, new, value):
+        (half_broken / "b.xml").write_bytes(serialize_xml(remote_sample()).replace(b'"0.2" type="Word"', new))
+        out = tmp_path / "d"
+        self.refused(capsys, command, half_broken, out,
+                     f"terminal 0.2 has type {value}, expected Word or Punctuation")
+        assert not out.exists()
+        out.mkdir()
+        (out / name).write_bytes(b"earlier output\n")
+        self.refused(capsys, command, half_broken, out,
+                     f"terminal 0.2 has type {value}, expected Word or Punctuation")
+        assert [f.name for f in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == b"earlier output\n"
 
 
 class TestUnwritableOutput:

@@ -31,8 +31,11 @@ from .helpers import (
     CYCLIC_DOCUMENTS,
     CODES,
     deep_center_chain,
+    flipped_types,
+    punctuation_positions,
     random_passage,
     reaches,
+    rebuild,
     reference_export_bilexical,
     reference_parse_xml,
     reference_serialize_xml,
@@ -375,9 +378,10 @@ class TestNonCanonicalIds:
             (b'ID="1.1" type="FN">', b'ID="1.' + b"1" * 3998 + b'" type="FN"><attributes implicit="True"/>',
              "root unit 1.1111111111"),
             (b'toID="0.1"', b'toID="' + b"1" * 4000 + b'.0"', "edge toID=111111111111... (4002"),
+            (b'type="Word"', b'type="' + b"W" * 5000 + b'"', "terminal 0.1 has type 'WWWWWWWWWWWW... (5000"),
         ],
         ids=["unit-id", "terminal-id", "layer-id", "category", "to-id", "duplicate-unit",
-             "edge-under", "implicit-root", "bad-node-id"],
+             "edge-under", "implicit-root", "bad-node-id", "terminal-type"],
     )
     def test_long_value_shortened(self, old, new, start):
         document = MINIMAL.replace(old, new)
@@ -444,7 +448,8 @@ def every_feature_passage() -> Passage:
 
 
 class TestSerializeXmlBytes:
-    @pytest.mark.parametrize("name", ["sample_remote.xml", "sample_implicit.xml"])
+    # sample_symbols.xml types "%", "$" and "°" Word, as the corpora do.
+    @pytest.mark.parametrize("name", ["sample_remote.xml", "sample_implicit.xml", "sample_symbols.xml"])
     def test_golden_files_round_trip_to_the_byte(self, data_dir, name):
         document = (data_dir / name).read_bytes()
         assert serialize_xml(parse_xml(document)) == document
@@ -463,6 +468,24 @@ class TestSerializeXmlBytes:
     @given(awkward_passages())
     def test_matches_reference_writer(self, p):
         assert serialize_xml(p) == reference_serialize_xml(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_types_against_the_text_round_trip(self, seed):
+        """Each terminal's type is written as the passage has it and read
+        back as written, also where is_punctuation of its text would differ."""
+        rng = random.Random(seed)
+        p = random_passage(rng, max_remotes=3)
+        punctuation = flipped_types(p, rng)
+        typed = rebuild(p, punctuation=punctuation)
+        document = serialize_xml(typed)
+        written = re.findall(rb'<node ID="0\.(\d+)" type="Punctuation">', document)
+        assert [int(position) for position in written] == punctuation
+        assert document == reference_serialize_xml(typed)
+        again = parse_xml(document)
+        assert again == typed
+        assert (again == p) == (punctuation == punctuation_positions(p))  # equality sees types
+        assert serialize_xml(again) == document
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -533,12 +556,12 @@ class TestParserFuzz:
 
 def outcome(read, document):
     """The passage read, as its id, root, nodes, edges in order, bottom-up
-    order and yield masks; or the error, as its type and message."""
+    order, yield masks and punctuation; or the error, as its type and message."""
     try:
         p = read(document)
     except Exception as exc:
         return type(exc), str(exc)
-    return p.passage_id, p.root, p.nodes, p.edges, p.bottom_up(), p.yield_masks()
+    return p.passage_id, p.root, p.nodes, p.edges, p.bottom_up(), p.yield_masks(), p.punctuation
 
 
 #: Markup inserted after a random ">": unknown and nested elements, elements
@@ -634,10 +657,14 @@ class TestReaderMatchesReference:
              "DOCTYPE 'html' not allowed in passage XML"),
             (with_doctype(MINIMAL, f"<!DOCTYPE {'d' * 40}>"), XmlFormatError,
              "DOCTYPE 'dddddddddddd... (40 characters)' not allowed in passage XML"),
+            (MINIMAL.replace(b'type="Word"', b'type="Banana"'), XmlFormatError,
+             "terminal 0.1 has type 'Banana', expected Word or Punctuation"),
+            (MINIMAL.replace(b' type="Word"', b""), XmlFormatError,
+             "terminal 0.1 has type None, expected Word or Punctuation"),
         ],
         ids=["namespaced-root", "undeclared-entity", "external-entity", "entity-without-doctype",
              "internal-entity", "entity-and-default", *(f"doctype-{k}" for k in range(len(DOCTYPES))),
-             "other-name", "long-name"],
+             "other-name", "long-name", "terminal-type", "terminal-without-type"],
     )
     def test_refused(self, document, error, message):
         assert outcome(parse_xml, document) == outcome(reference_parse_xml, document) == (error, message)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uccakit import graph
 from uccakit.categories import Category
 from uccakit.errors import (
     DuplicateEdge,
@@ -28,7 +29,9 @@ from uccakit.validation import validate
 
 from .helpers import (
     deep_center_chain,
+    flipped_types,
     random_passage,
+    rebuild,
     reference_assemble,
     reference_parse_xml,
     reference_yields,
@@ -182,6 +185,31 @@ class TestBuildPassage:
     def test_not_equal_to_other_types(self):
         p = build_passage("p", ["x"])
         assert (p == 1) is False
+
+
+class TestPunctuationTable:
+    """A passage keeps the ids of its terminals typed Punctuation, from the
+    positions given, or else from is_punctuation of each token."""
+
+    def test_guessed_without_positions(self):
+        p = build_passage("p", ["5", "%", ",", "x"])
+        assert type(p.punctuation) is frozenset
+        assert p.punctuation == {NodeId(0, 2), NodeId(0, 3)}
+
+    def test_given_positions_not_guessed(self, monkeypatch):
+        document = serialize_xml(remote_sample())
+
+        def refuse(text):
+            raise AssertionError(f"is_punctuation({text!r}) ran")
+
+        monkeypatch.setattr(graph, "is_punctuation", refuse)
+        assert Passage("p", ["5", "%", ",", "x"], punctuation=[4, 1, 4]).punctuation == {NodeId(0, 1), NodeId(0, 4)}
+        assert parse_xml(document).punctuation == {NodeId(0, 3)}
+
+    @pytest.mark.parametrize("position", [0, -1, 3])
+    def test_position_out_of_range_refused(self, position):
+        with pytest.raises(UnknownNode, match=rf"^no terminal at position {position}$"):
+            Passage("p", ["x", "y"], punctuation=[position])
 
 
 class TestAddNode:
@@ -535,10 +563,11 @@ class TestSealedTables:
                              ids=["pickle", "copy", "deepcopy"])
     def test_sealed_passage_copies(self, copier):
         rng = random.Random(0)
-        read = parse_xml(serialize_xml(random_passage(rng, max_tokens=12, max_units=8, max_remotes=3,
-                                                      legacy_labels=True)))
+        drawn = random_passage(rng, max_tokens=12, max_units=8, max_remotes=3, legacy_labels=True)
+        read = parse_xml(serialize_xml(rebuild(drawn, punctuation=flipped_types(drawn, rng))))
         relabeled = normalize(read)
         assert relabeled is not read  # the draw holds a legacy label
+        assert relabeled.punctuation == read.punctuation != drawn.punctuation
         for original in (read, relabeled):
             clone = copier(original)
             assert clone is not original and clone == original and clone.sealed
@@ -858,15 +887,15 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
     edges.insert(rng.randint(0, len(edges)), added)
 
 
-def assembled(assemble, p: Passage, units: list, edges: list):
+def assembled(assemble, p: Passage, units: list, edges: list, punctuation=None):
     """The passage assembled, as its id, root, nodes, edges in order,
-    bottom-up order and yield masks; or the error, as its type, message,
-    rule and node."""
+    bottom-up order, yield masks and punctuation; or the error, as its type,
+    message, rule and node."""
     try:
-        q = assemble(p.passage_id, p.tokens, p.root, units, edges)
+        q = assemble(p.passage_id, p.tokens, p.root, units, edges, punctuation=punctuation)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "rule", None), getattr(exc, "node_id", None)
-    return q.passage_id, q.root, q.nodes, q.edges, q.bottom_up(), q.yield_masks()
+    return q.passage_id, q.root, q.nodes, q.edges, q.bottom_up(), q.yield_masks(), q.punctuation
 
 
 class TestAssembleMatchesReference:
@@ -886,8 +915,9 @@ class TestAssembleMatchesReference:
             rng.shuffle(edges)
         for _ in range(defects):
             inject_defect(rng, p, units, edges)
-        ours = assembled(Passage.assemble, p, units, edges)
-        assert ours == assembled(reference_assemble, p, units, edges)
+        punctuation = flipped_types(p, rng)
+        ours = assembled(Passage.assemble, p, units, edges, punctuation)
+        assert ours == assembled(reference_assemble, p, units, edges, punctuation)
         if not defects:  # a listing order of the passage itself loads as it
             assert ours[:2] == (p.passage_id, p.root) and ours[3] == tuple(edges)
             assert sorted(ours[2]) == sorted(p.nodes)

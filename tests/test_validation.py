@@ -10,7 +10,7 @@ from uccakit.errors import GraphError
 from uccakit.graph import NodeKind, build_passage
 from uccakit.validation import RULES, RuleSet, normalize, validate
 
-from .helpers import CODES, PUNCT, random_passage, rebuild, relabel
+from .helpers import CODES, PUNCT, flipped_types, random_passage, rebuild, relabel
 from .samples import implicit_sample, remote_sample
 
 legacy_passages = st.integers(0, 2**32 - 1).map(
@@ -205,14 +205,15 @@ def relabeled_copy(p, rng):
 
 class TestPunctuationRule:
     """V3 judges every edge, primary or remote: it flags exactly the edges
-    whose child is a punctuation terminal xor whose label is U, in edge order."""
+    whose child is a terminal typed Punctuation xor whose label is U, in edge
+    order.  A terminal's type is its text's unless the passage gives one."""
 
     @staticmethod
-    def expected(p):
+    def expected(p, punctuation):
         flagged = []
         for parent, child, category, _ in p.edges:
             node = p.node(child)
-            punct = node.is_terminal and node.text in PUNCT
+            punct = node.is_terminal and node.position in punctuation
             if punct != (category.code == "U"):
                 message = (f"punctuation token attached as {category.code}, expected U" if punct
                            else "U edge points at a non-punctuation node")
@@ -224,8 +225,11 @@ class TestPunctuationRule:
     def test_matches_oracle(self, seed):
         rng = random.Random(seed)
         p = random_passage(rng, max_remotes=4)
-        for q in (p, relabeled_copy(p, rng)):
-            assert [tuple(v) for v in validate(q, RuleSet({"V3"})).violations] == self.expected(q)
+        by_text = {position for position, token in enumerate(p.tokens, start=1) if token in PUNCT}
+        flipped = flipped_types(p, rng)
+        for q, punctuation in ((p, by_text), (relabeled_copy(p, rng), by_text),
+                               (rebuild(p, punctuation=flipped), flipped)):
+            assert [tuple(v) for v in validate(q, RuleSet({"V3"})).violations] == self.expected(q, punctuation)
 
 
 class TestValidate:
