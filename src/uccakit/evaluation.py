@@ -8,19 +8,19 @@ remote edges; the "all" stratum sums the two count triples before
 computing precision, recall and F1.  Edges whose child yield is empty
 (implicit children) never enter a matching pool.
 
-An edge's key is its child's yield mask (see :mod:`uccakit.graph`), its
-code and its class.  Each pair is scored from one tally of those keys;
+An edge's key is its child's yield key (see :meth:`Passage.yield_keys`),
+its code and its class.  Each pair is scored from one tally of those keys;
 yields are decoded to positions only for :func:`edge_signatures`.
 """
 from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict, namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 from .categories import ALL_CODES, PUNCT_CODE, report_order
 from .errors import TokenMismatch, shown
-from .graph import Passage, yield_positions
+from .graph import Passage
 from .records import Record, render_rows
 
 STRATA = ("all", "primary", "remote")
@@ -30,13 +30,14 @@ STRATA = ("all", "primary", "remote")
 EdgeSignature = namedtuple("EdgeSignature", "span category remote")
 
 
-def _pooled(passage: Passage, include_punct: bool) -> list[tuple[int, str, bool]]:
-    """(yield mask, code, remote) of every edge that enters a matching pool."""
-    masks = passage.yield_masks()
+def _pooled(passage: Passage, include_punct: bool, yields: Mapping | None = None) -> list[tuple]:
+    """(yields[child], code, remote) of each edge in a matching pool: none with an empty yield,
+    no U edge unless include_punct.  The yields default to the passage's yield_keys()."""
+    yields = passage.yield_keys() if yields is None else yields
     return [
-        (mask, category.code, remote)
+        (span, category.code, remote)
         for _, child, category, remote in passage.edges
-        if (mask := masks[child]) and (include_punct or category.code != PUNCT_CODE)
+        if (span := yields[child]) and (include_punct or category.code != PUNCT_CODE)
     ]
 
 
@@ -44,9 +45,10 @@ def edge_signatures(
     passage: Passage, labeled: bool = True, include_punct: bool = True
 ) -> list[EdgeSignature]:
     """One signature per edge with a non-empty child yield."""
+    positions = {nid: passage.yield_of(nid) for nid in passage.bottom_up()}
     return [
-        EdgeSignature(yield_positions(mask), code if labeled else None, remote)
-        for mask, code, remote in _pooled(passage, include_punct)
+        EdgeSignature(span, code if labeled else None, remote)
+        for span, code, remote in _pooled(passage, include_punct, positions)
     ]
 
 
@@ -121,22 +123,22 @@ def score_passage(output: Passage, gold: Passage, include_punct: bool = True) ->
     """Score one output passage against its gold annotation."""
     if output.tokens != gold.tokens:
         raise TokenMismatch(f"passage {shown(gold.passage_id)}: {_difference(output.tokens, gold.tokens)}")
-    # One tally per pair: each (mask, code, remote) key's count on both
+    # One tally per pair: each (yield key, code, remote) key's count on both
     # sides.  Matching is per key, so the labeled strata and the categories
-    # are sums by (code, remote); the unlabeled keys (mask, remote) merge
+    # are sums by (code, remote); the unlabeled keys (yield key, remote) merge
     # labels, so their counts are summed before they are matched.
     out = Counter(_pooled(output, include_punct))
     ref = Counter(_pooled(gold, include_punct))
     labels = defaultdict(lambda: [0, 0, 0])  # (code, remote): matched, predicted, gold
-    spans = defaultdict(lambda: [0, 0])  # (mask, remote): predicted, gold
+    spans = defaultdict(lambda: [0, 0])  # (yield key, remote): predicted, gold
     for key in out.keys() | ref.keys():
-        mask, code, remote = key
+        span, code, remote = key
         predicted, wanted = out.get(key, 0), ref.get(key, 0)
         counts = labels[code, remote]
         counts[0] += predicted if predicted < wanted else wanted
         counts[1] += predicted
         counts[2] += wanted
-        counts = spans[mask, remote]
+        counts = spans[span, remote]
         counts[0] += predicted
         counts[1] += wanted
     matched = [0, 0]  # unlabeled, primary and remote

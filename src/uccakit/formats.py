@@ -223,27 +223,27 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
     """Collapse the graph to one head and relation per token.
 
     A node has a lexical head iff its yield is not empty: a terminal heads
-    itself, and a unit takes the head of its primary child with the lowest
-    (HEAD_PRIORITY rank of the edge, first token of the child's yield)
-    among those with a non-empty yield.  Each other such child's head
+    itself, and a unit has one iff a primary child has.  It takes the head
+    of its headed primary child with the lowest (HEAD_PRIORITY rank of the
+    edge, first token of the child's yield).  Each other such child's head
     depends on the unit's head, labeled with the category of the edge into
     that child; the root's head gets ROOT_DEPREL.  Remote edges and
     implicit nodes are dropped.  Legacy T/Q labels are read as their
     replacements, so a passage exports as its normalized form does.
     """
-    masks = passage.yield_masks()
-    heads: dict[NodeId, int] = {}  # head position of each node with a non-empty yield
+    heads: dict[NodeId, int] = {}  # head position of each headed node
+    first: dict[NodeId, int] = {}  # and the first token of its yield
     rows: dict[int, tuple[int, str]] = {}  # dependent position -> head position, relation
     for nid in passage.bottom_up():  # children first
         node = passage.node(nid)
         if node.is_terminal:
-            heads[nid] = node.position
-        elif masks[nid]:
-            # The head child first; sibling yields are disjoint, so no two share a lowest bit.
-            headed = sorted((_HEAD_RANK[category.code], masks[child] & -masks[child], child, category.code)
-                            for _, child, category, remote in passage.outgoing(nid)
-                            if not remote and masks[child])
+            heads[nid] = first[nid] = node.position
+        # Headed primary children, the head's first; sibling yields are disjoint, so first tokens differ.
+        elif headed := sorted((_HEAD_RANK[category.code], first[child], child, category.code)
+                              for _, child, category, remote in passage.outgoing(nid)
+                              if not remote and child in first):
             head = heads[nid] = heads[headed[0][2]]
+            first[nid] = min(entry[1] for entry in headed)
             for _, _, child, code in headed[1:]:
                 rows[heads[child]] = (head, LEGACY_REPLACEMENT.get(code, code))
     rows[heads[passage.root]] = (0, ROOT_DEPREL)

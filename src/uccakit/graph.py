@@ -8,21 +8,21 @@ Units added one at a time and units loaded in bulk by
 :meth:`Passage.assemble` pass through the same loop of checks, and edges
 through one linker, ``Passage._link``.
 Sealing walks the whole edge set once, the only acyclicity check, records
-a bottom-up node order and, in that order, fills the yields of all nodes:
-integer masks with bit k set for token k, decoded to positions only where
-a yield leaves the library.
+a bottom-up node order and, in that order, fills the yield keys of all nodes.
+Only this module knows what a key is, an integer mask with bit k set for
+token k; ``yield_of`` alone decodes one to positions.
 
 Queries that read a table only sealing starts (``incoming``, ``bottom_up``, the yields) need
 a sealed passage; those on what construction, ``add_node`` and ``add_edge`` maintain (``nodes``,
 ``edges``, ``outgoing``, ``terminals``, ``punctuation``, ``node``, ``non_terminals``) answer at
 any time.  Accessors return tuples, new ones from ``nodes``, ``non_terminals`` and a passage
-being built, but ``yield_masks`` a read-only view of its table, ``punctuation`` a frozenset.
+being built, but ``yield_keys`` a read-only view of its table, ``punctuation`` a frozenset.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable
 from enum import Enum
 from itertools import count, repeat
 from types import MappingProxyType
@@ -206,7 +206,7 @@ class Passage:
 
     def freeze(self) -> "Passage":
         """Verify all passage invariants, record the bottom-up node order,
-        fill every yield mask in it and seal the passage.
+        fill every yield key in it and seal the passage.
 
         Raises StructuralViolation carrying the first failed invariant.
         """
@@ -309,19 +309,24 @@ class Passage:
             self._in = dict(zip(table, map(tuple, table.values())))
         return self._in[self.node(node_id).id]
 
-    def yield_masks(self) -> MappingProxyType[NodeId, int]:
-        """Every node's yield as a mask with bit k set for token k: a
-        read-only view of the table."""
+    def yield_keys(self) -> MappingProxyType[NodeId, Hashable]:
+        """A read-only view of every node's yield key: hashable, falsy iff the yield is empty, and
+        equal to another key, of this passage or of one over the same tokens, iff the yields are."""
         self.require_sealed()
         return MappingProxyType(self._yields)
 
     def yield_of(self, node_id: NodeId) -> tuple[int, ...]:
-        """Token positions of all terminal descendants via primary edges,
-        in increasing order: the node's mask, decoded.
-
-        A terminal yields its own position; implicit nodes yield ().
-        """
-        return yield_positions(self.yield_masks()[self.node(node_id).id])
+        """Token positions of all terminal descendants via primary edges, in increasing
+        order; a terminal yields its own position, an implicit node ().  Each turn decodes
+        one run of set bits of the node's key: adding its lowest bit carries past its top."""
+        self.require_sealed()
+        mask, positions = self._yields[self.node(node_id).id], []
+        while mask:
+            low = mask & -mask
+            carried = mask + low
+            positions.extend(range(low.bit_length() - 1, (carried & -carried).bit_length() - 1))
+            mask &= carried
+        return tuple(positions)
 
     def bottom_up(self) -> tuple[NodeId, ...]:
         """Every node id, each one after all of its children: the order
@@ -333,7 +338,8 @@ class Passage:
         """True iff the yield is non-empty and not a contiguous range: adding
         the lowest set bit clears the lowest run of set bits, and another
         run is left."""
-        mask = self.yield_masks()[self.node(node_id).id]
+        self.require_sealed()
+        mask = self._yields[self.node(node_id).id]
         return (mask + (mask & -mask)) & mask != 0
 
     def is_reentrant(self, node_id: NodeId) -> bool:
@@ -455,18 +461,6 @@ def normalize(passage: Passage) -> Passage:
         children.append(edge)
     fresh._seal()
     return fresh
-
-
-def yield_positions(mask: int) -> tuple[int, ...]:
-    """The set bits of a yield mask, in increasing order.  Each turn takes
-    one run of consecutive bits: adding its lowest bit carries past its top."""
-    positions = []
-    while mask:
-        low = mask & -mask
-        carried = mask + low
-        positions.extend(range(low.bit_length() - 1, (carried & -carried).bit_length() - 1))
-        mask &= carried
-    return tuple(positions)
 
 
 def build_passage(passage_id: str, tokens: Iterable[str]) -> Passage:

@@ -212,6 +212,20 @@ class TestScoreCorpus:
         assert_matches_oracle(output, gold, include_punct)
 
 
+class TestKeyContract:
+    """score_passage relies on nothing of a yield key but the contract of
+    Passage.yield_keys(): position tuples, which keep it, score the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs, st.booleans())
+    def test_position_tuples_as_keys(self, pair, include_punct):
+        output, gold = pair
+        expected = score_passage(output, gold, include_punct).to_dict()
+        for p in pair:
+            p._yields = {nid: p.yield_of(nid) for nid in p.yield_keys()}
+        assert score_passage(output, gold, include_punct).to_dict() == expected
+
+
 class TestInvariants:
     @settings(max_examples=100, deadline=None)
     @given(pairs)

@@ -234,6 +234,22 @@ class TestExportText:
         assert export_text(p).split(" ") == list(p.tokens)
 
 
+def headless_unit_sample() -> Passage:
+    """A C unit, the highest rank, whose primary children are an implicit unit
+    and a unit with only an implicit child, and which reaches token 1 remotely:
+    it has no head, so the root takes the head of its P child."""
+    p = build_passage("headless", ["John", "left"])
+    headless, inner = p.add_node(NodeKind.NON_TERMINAL), p.add_node(NodeKind.NON_TERMINAL)
+    p.add_edge(p.root, headless, "C")
+    p.add_edge(headless, p.add_node(NodeKind.IMPLICIT), "A")
+    p.add_edge(headless, inner, "E")
+    p.add_edge(inner, p.add_node(NodeKind.IMPLICIT), "C")
+    p.add_edge(headless, p.terminal_id(1), "A", remote=True)
+    p.add_edge(p.root, p.terminal_id(1), "A")
+    p.add_edge(p.root, p.terminal_id(2), "P")
+    return p.freeze()
+
+
 class TestExportBilexical:
     def test_remote_sample_rows(self, remote_passage):
         rows = export_bilexical(remote_passage)
@@ -301,7 +317,7 @@ class TestExportBilexical:
                            legacy_labels=legacy_labels)
         assert export_bilexical(p) == reference_export_bilexical(p)
 
-    @pytest.mark.parametrize("make", [remote_sample, implicit_sample, deep_center_chain])
+    @pytest.mark.parametrize("make", [remote_sample, implicit_sample, deep_center_chain, headless_unit_sample])
     def test_matches_reference_export_on_fixed_passages(self, make):
         p = make()
         assert export_bilexical(p) == reference_export_bilexical(p)
@@ -556,12 +572,12 @@ class TestParserFuzz:
 
 def outcome(read, document):
     """The passage read, as its id, root, nodes, edges in order, bottom-up
-    order, yield masks and punctuation; or the error, as its type and message."""
+    order, yield keys and punctuation; or the error, as its type and message."""
     try:
         p = read(document)
     except Exception as exc:
         return type(exc), str(exc)
-    return p.passage_id, p.root, p.nodes, p.edges, p.bottom_up(), p.yield_masks(), p.punctuation
+    return p.passage_id, p.root, p.nodes, p.edges, p.bottom_up(), p.yield_keys(), p.punctuation
 
 
 #: Markup inserted after a random ">": unknown and nested elements, elements

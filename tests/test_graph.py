@@ -42,7 +42,7 @@ from .samples import implicit_sample, remote_sample
 SEALED_ONLY = {
     "incoming": lambda p: p.incoming(p.root),
     "is_reentrant": lambda p: p.is_reentrant(p.root),
-    "yield_masks": Passage.yield_masks,
+    "yield_keys": Passage.yield_keys,
     "yield_of": lambda p: p.yield_of(p.root),
     "bottom_up": Passage.bottom_up,
     "is_discontinuous": lambda p: p.is_discontinuous(p.root),
@@ -540,10 +540,10 @@ class TestSealedTables:
         p = remote_passage
         order, masks = p.bottom_up(), p._yields
         assert p.freeze() is p
-        assert p.bottom_up() is order and p._yields is masks  # yield_masks() makes a new view per call
+        assert p.bottom_up() is order and p._yields is masks  # yield_keys() makes a new view per call
 
-    def test_yield_masks_refuses_writes(self):
-        """yield_masks() is a read-only view: a write through it, which would
+    def test_yield_keys_refuses_writes(self):
+        """yield_keys() is a read-only view: a write through it, which would
         change the yields of the passage and of every normalize copy sharing
         them, raises TypeError instead."""
         rng = random.Random(0)
@@ -552,7 +552,7 @@ class TestSealedTables:
         relabeled = normalize(read)
         assert relabeled is not read  # the draw holds a legacy label
         for p in (read, relabeled):
-            masks = p.yield_masks()
+            masks = p.yield_keys()
             for nid in masks:
                 with pytest.raises(TypeError):
                     masks[nid] = 0
@@ -572,7 +572,7 @@ class TestSealedTables:
             clone = copier(original)
             assert clone is not original and clone == original and clone.sealed
             assert clone.bottom_up() == original.bottom_up()
-            assert clone.yield_masks() == original.yield_masks()
+            assert clone.yield_keys() == original.yield_keys()
             assert score_passage(clone, original).labeled["all"].f1 == 1.0
             with pytest.raises(SealedPassage):
                 clone.add_edge(clone.root, clone.terminal_id(1), "A", remote=True)
@@ -621,12 +621,13 @@ class TestSealedTables:
 
 
 class TestYieldMasks:
-    """The masks, decoded, against the tuple-building pass they replaced."""
+    """The yield keys, which graph keeps as masks, decoded, against the
+    tuple-building pass they replaced."""
 
     @staticmethod
     def check(p: Passage) -> None:
         reference = reference_yields(p)
-        masks = p.yield_masks()
+        masks = p.yield_keys()
         assert masks.keys() == reference.keys()
         for nid, positions in reference.items():
             assert p.yield_of(nid) == positions
@@ -648,7 +649,7 @@ class TestYieldMasks:
 
     def test_unsealed_refused(self):
         with pytest.raises(GraphError):
-            build_passage("p", ["x"]).yield_masks()
+            build_passage("p", ["x"]).yield_keys()
 
 
 class TestYield:
@@ -889,13 +890,13 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
 
 def assembled(assemble, p: Passage, units: list, edges: list, punctuation=None):
     """The passage assembled, as its id, root, nodes, edges in order,
-    bottom-up order, yield masks and punctuation; or the error, as its type,
+    bottom-up order, yield keys and punctuation; or the error, as its type,
     message, rule and node."""
     try:
         q = assemble(p.passage_id, p.tokens, p.root, units, edges, punctuation=punctuation)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "rule", None), getattr(exc, "node_id", None)
-    return q.passage_id, q.root, q.nodes, q.edges, q.bottom_up(), q.yield_masks(), q.punctuation
+    return q.passage_id, q.root, q.nodes, q.edges, q.bottom_up(), q.yield_keys(), q.punctuation
 
 
 class TestAssembleMatchesReference:
