@@ -1,7 +1,7 @@
-"""Edge category inventory of the foundational layer."""
+"""Edge category inventory of the foundational layer, and Category, the
+edge label: a str that is one of its codes."""
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 
 from .errors import UnknownCategory, shown
@@ -43,21 +43,22 @@ def report_order(codes: Iterable[str]) -> list[str]:
     return [c for c in REPORT_ORDER if c in codes] + sorted(codes.difference(REPORT_ORDER))
 
 
-class Category(namedtuple("Category", "code longname")):
-    """An edge label: single-letter code plus its human-readable name."""
+class Category(str):
+    """An edge label: a str equal to its code, one of ALL_CODES.  ``code`` is the label
+    itself and ``longname`` reads ALL_CODES; Category(code) and from_code return the registry's object."""
 
     __slots__ = ()
 
-    @classmethod
-    def from_code(cls, code: str) -> "Category":
+    def __new__(cls, code: str) -> "Category":
         try:
             return CATEGORIES[code]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownCategory(f"unknown category code: {shown(code)!r}") from None
 
-    def __str__(self) -> str:
-        return self.code
+    from_code = classmethod(__new__)
+    code = property(lambda self: self)
+    longname = property(ALL_CODES.__getitem__)
 
 
 #: Every category by its code.
-CATEGORIES = {code: Category(code, longname) for code, longname in ALL_CODES.items()}
+CATEGORIES = {code: str.__new__(Category, code) for code in ALL_CODES}

@@ -156,9 +156,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_normalize(args) -> int:
     source, out_dir = Path(args.input), Path(args.out)
+    files = _xml_files(source)  # a missing input is named as such, not as the --out
     if os.path.realpath(out_dir) == os.path.realpath(source.parent if source.is_file() else source):
         raise _Exit(EXIT_USAGE, f"{args.out}: is the input's directory, which normalize would overwrite")
-    outputs = [(path.name, formats.serialize_xml(normalize(_load(path)))) for path in _xml_files(source)]
+    outputs = [(path.name, formats.serialize_xml(normalize(_load(path)))) for path in files]
     _write_all(out_dir, outputs)
     return EXIT_OK
 

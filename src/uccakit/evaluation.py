@@ -35,9 +35,9 @@ def _pooled(passage: Passage, include_punct: bool, yields: Mapping | None = None
     no U edge unless include_punct.  The yields default to the passage's yield_keys()."""
     yields = passage.yield_keys() if yields is None else yields
     return [
-        (span, category.code, remote)
+        (span, category, remote)
         for _, child, category, remote in passage.edges
-        if (span := yields[child]) and (include_punct or category.code != PUNCT_CODE)
+        if (span := yields[child]) and (include_punct or category != PUNCT_CODE)
     ]
 
 

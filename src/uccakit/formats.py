@@ -110,7 +110,7 @@ def parse_xml(document: bytes | str) -> Passage:
         child = ids.get(to_id)
         if child is None:
             raise DanglingReference(f"edge toID={shown(to_id)} is not a declared node")
-        category = CATEGORIES[code] if code in CATEGORIES else Category.from_code(code)
+        category = CATEGORIES.get(code) or Category(code)
         edges.append(new(Edge, (nid, child, category, remote)))
 
     referenced = {edge.child for edge in edges}
@@ -181,7 +181,7 @@ def serialize_xml(passage: Passage) -> bytes:
     for unit in sorted((n for n in passage.nodes if not n.is_terminal), key=lambda n: n.id):
         body = ['      <attributes implicit="True" />'] if unit.kind is NodeKind.IMPLICIT else []
         for _, child, category, remote in passage.outgoing(unit.id):
-            edge = f'      <edge toID="{child}" type="{category.code}"'
+            edge = f'      <edge toID="{child}" type="{category!s}"'  # !s: cheaper than format() of a str subclass
             if remote:
                 body += (edge + ">", '        <attributes remote="True" />', "      </edge>")
             else:
@@ -239,7 +239,7 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
         if node.is_terminal:
             heads[nid] = first[nid] = node.position
         # Headed primary children, the head's first; sibling yields are disjoint, so first tokens differ.
-        elif headed := sorted((_HEAD_RANK[category.code], first[child], child, category.code)
+        elif headed := sorted((_HEAD_RANK[category], first[child], child, category)
                               for _, child, category, remote in passage.outgoing(nid)
                               if not remote and child in first):
             head = heads[nid] = heads[headed[0][2]]

@@ -27,7 +27,7 @@ from enum import Enum
 from itertools import count, repeat
 from types import MappingProxyType
 
-from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category
+from .categories import LEGACY_REPLACEMENT, Category
 from .errors import (
     DuplicateEdge,
     DuplicatePrimaryParent,
@@ -110,11 +110,8 @@ class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
 Edge = namedtuple("Edge", "parent child category remote", defaults=(False,))
 
 
-#: Legacy code -> the registered category that normalize puts in its place.
-_REPLACEMENTS = {code: CATEGORIES[new] for code, new in LEGACY_REPLACEMENT.items()}
-
-#: The categories an edge may carry; a Category equal to one of them is it.
-_REGISTERED = frozenset(CATEGORIES.values())
+#: Legacy code -> the category that normalize puts in its place.
+_REPLACEMENTS = {code: Category(new) for code, new in LEGACY_REPLACEMENT.items()}
 
 #: A tuple record from checked fields, without NodeId's or a namedtuple's Python __new__.
 _new = tuple.__new__
@@ -198,11 +195,10 @@ class Passage:
         return node_id
 
     def add_edge(self, parent: NodeId, child: NodeId, category: Category | str, remote: bool = False) -> None:
-        """Link one edge, labelled by a code or by the registered Category of one
-        (_link refuses any other).  An edge that closes a cycle is refused by freeze."""
+        """Link one edge, labelled by a Category or by its code (UnknownCategory
+        for any other).  An edge that closes a cycle is refused by freeze."""
         self._require_mutable()
-        category = Category.from_code(category) if isinstance(category, str) else category
-        self._link([Edge(parent, child, category, remote)])
+        self._link([Edge(parent, child, Category(category), remote)])
 
     def freeze(self) -> "Passage":
         """Verify all passage invariants, record the bottom-up node order,
@@ -264,9 +260,9 @@ class Passage:
         return self._terminals
 
     def terminal_id(self, position: int) -> NodeId:
-        """The NodeId of the terminal at a 1-based token position."""
-        if not 1 <= position <= len(self._terminals):
-            raise UnknownNode(f"no terminal at position {position}")
+        """The NodeId of the terminal at a 1-based token position, an int but not a bool."""
+        if type(position) is not int or not 1 <= position <= len(self._terminals):
+            raise UnknownNode(f"no terminal at position {shown(position)!r}")
         return self._terminals[position - 1].id
 
     @property
@@ -405,14 +401,14 @@ class Passage:
 
     def _link(self, edges: Iterable[Edge]) -> None:
         """Append edges, each after the structural checks, none a graph search:
-        NodeId ends in the passage, a registered category (so parse_xml reads the
-        XML back), a non-terminal parent, no duplicate, one primary parent at most."""
+        NodeId ends in the passage, a Category label, not a plain str (so parse_xml
+        reads the XML back), a non-terminal parent, no duplicate, one primary parent at most."""
         nodes, out, has_parent, append = self._nodes, self._out, self._has_parent, self._edges.append
         for edge in edges:
             parent, child, category, remote = edge
             if type(parent) is not NodeId or type(child) is not NodeId:
                 raise GraphError(f"not a NodeId: {shown(child if type(parent) is NodeId else parent)!r}")
-            if category not in _REGISTERED:
+            if type(category) is not Category:
                 raise UnknownCategory(f"unregistered category: {shown(category)!r}")
             try:
                 parent_node, _ = nodes[parent], nodes[child]  # the child need only exist
@@ -443,7 +439,7 @@ def normalize(passage: Passage) -> Passage:
     equal to one linked before it, which only relabeling can make, is dropped.
     """
     passage.require_sealed()
-    if not any(edge[2].code in _REPLACEMENTS for edge in passage._edges):
+    if not any(edge[2] in _REPLACEMENTS for edge in passage._edges):
         return passage
     fresh = object.__new__(type(passage))
     fresh.__dict__.update(passage.__dict__)  # copy.copy, without importing copy
@@ -451,7 +447,7 @@ def normalize(passage: Passage) -> Passage:
     fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in passage._nodes}
     for edge in passage._edges:
         parent, child, category, remote = edge
-        mapped = _REPLACEMENTS.get(category.code)
+        mapped = _REPLACEMENTS.get(category)
         if mapped is not None:
             edge = _new(Edge, (parent, child, mapped, remote))
         children = out[parent]

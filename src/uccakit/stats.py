@@ -65,7 +65,7 @@ class StatsReport(Record):
         self.edges += len(edges)
         self.remote += remote
         self.primary += len(edges) - remote
-        self.category_counts.update(edge[2].code for edge in edges)
+        self.category_counts.update(edge[2] for edge in edges)
 
     def merge(self, other: "StatsReport") -> "StatsReport":
         return StatsReport(*map(add, self._values(), other._values()))

@@ -20,8 +20,8 @@ RULES = {
     "V3": "punctuation terminals attach via U, and U attaches only punctuation",
     "V4": "all categories belong to the inventory",
 }
-# V4 holds of every sealed passage: Passage._link refuses an unregistered
-# category, so validate has no check of its own for it.
+# V4 holds of every sealed passage: Passage._link takes only a Category as a
+# label, and only a code of the inventory makes one, so validate has no check for it.
 
 
 class RuleSet(namedtuple("RuleSet", "enabled")):
@@ -80,11 +80,11 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
             report.violations.append(Violation(rule, str(ref), message))
 
     for parent, child, category, _ in passage.edges:
-        if category.code in LEGACY:
-            flag("V0", f"{parent}->{child}", f"legacy label {category.code}; run normalize first")
+        if category in LEGACY:
+            flag("V0", f"{parent}->{child}", f"legacy label {category}; run normalize first")
 
     for unit in passage.non_terminals:
-        codes = [edge[2].code for edge in passage.outgoing(unit.id)]
+        codes = [edge[2] for edge in passage.outgoing(unit.id)]
         main = [code for code in codes if code in ("P", "S")]
         if not main:
             continue
@@ -96,9 +96,9 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
     punctuation = passage.punctuation
     for parent, child, category, _ in passage.edges:
         punct = child in punctuation
-        if punct and category.code != PUNCT_CODE:
-            flag("V3", f"{parent}->{child}", f"punctuation token attached as {category.code}, expected U")
-        if not punct and category.code == PUNCT_CODE:
+        if punct and category != PUNCT_CODE:
+            flag("V3", f"{parent}->{child}", f"punctuation token attached as {category}, expected U")
+        if not punct and category == PUNCT_CODE:
             flag("V3", f"{parent}->{child}", "U edge points at a non-punctuation node")
 
     return report

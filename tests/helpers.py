@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import xml.etree.ElementTree as ET
 
-from uccakit.categories import CATEGORIES, FOUNDATIONAL, LEGACY_REPLACEMENT, Category
+from uccakit.categories import FOUNDATIONAL, LEGACY_REPLACEMENT, Category
 from uccakit.errors import (
     DanglingReference,
     DuplicateEdge,
@@ -487,7 +487,7 @@ def _reference_add_node(passage: Passage, in_: dict, kind: NodeKind, node_id: No
 
 
 def _reference_link(passage: Passage, in_: dict, edge: Edge) -> None:
-    if CATEGORIES.get(edge.category.code) != edge.category:
+    if not isinstance(edge.category, Category):
         raise UnknownCategory(f"unregistered category: {shown(edge.category)!r}")
     parent, child = edge.parent, edge.child
     parent_node, _ = passage.node(parent), passage.node(child)

@@ -449,6 +449,14 @@ class TestNormalize:
         assert err == f"{out_name}: is the input's directory, which normalize would overwrite\n"
         assert (tmp_path / "d" / "a.xml").read_bytes() == document
 
+    @pytest.mark.parametrize("out_name", ["X", "./X/", "other"], ids=["same", "other-spelling", "other"])
+    def test_missing_input_named_before_the_out(self, capsys, tmp_path, monkeypatch, out_name):
+        # X --out X once exited 1, saying that X, which did not exist, was the input's directory.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "normalize", "X", "--out", out_name)
+        assert (code, out, err) == (cli.EXIT_PARSE, "", "X: does not exist\n")
+        assert list(tmp_path.iterdir()) == []  # no out directory made
+
     def test_writes_relabeled_files(self, capsys, tmp_path):
         src = tmp_path / "src"
         src.mkdir()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uccakit import graph
-from uccakit.categories import Category
+from uccakit.categories import ALL_CODES, Category
 from uccakit.errors import (
     DuplicateEdge,
     DuplicatePrimaryParent,
@@ -130,11 +130,13 @@ class TestBuildPassage:
         with pytest.raises(GraphError):
             build_passage("p-empty", [])
 
-    @pytest.mark.parametrize("position", [0, -1, 3])
+    # A position is an int, not a bool: True once named terminal 1, and 1.0 raised a bare TypeError.
+    @pytest.mark.parametrize("position", [0, -1, 3, True, 1.0, "1"])
     def test_terminal_id_out_of_range(self, position):
         p = build_passage("p", ["x", "y"])
-        with pytest.raises(UnknownNode, match=rf"^no terminal at position {position}$"):
+        with pytest.raises(UnknownNode) as raised:
             p.terminal_id(position)
+        assert str(raised.value) == f"no terminal at position {position!r}"
 
     def test_terminal_id(self):
         p = build_passage("p", ["x", "y"])
@@ -206,10 +208,11 @@ class TestPunctuationTable:
         assert Passage("p", ["5", "%", ",", "x"], punctuation=[4, 1, 4]).punctuation == {NodeId(0, 1), NodeId(0, 4)}
         assert parse_xml(document).punctuation == {NodeId(0, 3)}
 
-    @pytest.mark.parametrize("position", [0, -1, 3])
+    @pytest.mark.parametrize("position", [0, -1, 3, True, 1.0, "1"])
     def test_position_out_of_range_refused(self, position):
-        with pytest.raises(UnknownNode, match=rf"^no terminal at position {position}$"):
+        with pytest.raises(UnknownNode) as raised:
             Passage("p", ["x", "y"], punctuation=[position])
+        assert str(raised.value) == f"no terminal at position {position!r}"
 
 
 class TestAddNode:
@@ -268,6 +271,36 @@ class TestUnitLayer:
             door(nid)
         assert type(raised.value) is GraphError
         assert str(raised.value) == f"units must live in layer 1: {nid}"
+
+
+class TestLabelContract:
+    """An edge label is a Category: a str equal to its code, made only of a code in ALL_CODES."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.sampled_from(list(ALL_CODES)), st.text()))
+    def test_category_iff_registered_code(self, text):
+        if text not in ALL_CODES:
+            with pytest.raises(UnknownCategory) as raised:
+                Category(text)
+            assert str(raised.value) == f"unknown category code: {shown(text)!r}"
+            return
+        label = Category(text)
+        assert type(label) is Category and label is Category.from_code(text)
+        assert label == text and hash(label) == hash(text)
+        assert label.code is label and label.longname == ALL_CODES[text]
+        assert str(label) == text and type(str(label)) is str
+
+    def test_every_code_makes_its_category(self):
+        for code, longname in ALL_CODES.items():
+            assert Category(code) == code and Category(code).longname == longname
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_edge_label_is_a_category(self, seed):
+        p = random_passage(random.Random(seed), max_remotes=3, legacy_labels=True)
+        for q in (p, parse_xml(serialize_xml(p)), normalize(p), pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert all(type(edge.category) is Category for edge in q.edges)
+            assert all(edge.category is Category(edge.category) for edge in q.edges)  # the registry's
 
 
 class TestAddEdge:
@@ -370,30 +403,35 @@ class TestAddEdge:
         assert p.is_reentrant(p.terminal_id(1))
 
     def test_add_edge_refuses_unregistered_category_as_assemble_does(self):
-        # add_edge once put the registered Category of the code in its place.
+        # add_edge makes a Category of its label, which refuses an unknown code;
+        # assemble refuses an Edge holding anything but a Category.
         root, word = NodeId(1, 1), NodeId(0, 1)
-        for category in (Category("C", "Wrong"), Category("Z", "Zeta")):
+        for code in ("Z", "c", "Center", "", ["A"]):
             p = build_passage("p", ["a"])
             with pytest.raises(UnknownCategory) as by_add_edge:
-                p.add_edge(root, word, category)
+                p.add_edge(root, word, code)
             with pytest.raises(UnknownCategory) as by_assemble:
-                Passage.assemble("p", ["a"], root, [], [Edge(root, word, category)])
-            assert str(by_add_edge.value) == str(by_assemble.value) == f"unregistered category: {category!r}"
+                Passage.assemble("p", ["a"], root, [], [Edge(root, word, code)])
+            assert str(by_add_edge.value) == f"unknown category code: {code!r}"
+            assert str(by_assemble.value) == f"unregistered category: {code!r}"
             assert p.edges == ()
-        p = build_passage("p", ["a"])
-        p.add_edge(root, word, Category("C", "Center"))  # the registered one, or a code
-        assert p.freeze() == Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category.from_code("C"))])
+        for label in (Category("C"), "C"):  # a Category or its code
+            p = build_passage("p", ["a"])
+            p.add_edge(root, word, label)
+            assert p.freeze() == Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category.from_code("C"))])
+            assert p.edges[0].category is Category("C")
 
     def test_assemble_refuses_unregistered_category(self):
-        # assemble takes an Edge holding any Category, which serialize_xml
-        # would write and parse_xml refuse.  So no sealed passage can break rule V4.
+        # assemble takes an Edge holding any label, which serialize_xml would
+        # write and parse_xml might refuse; only a Category is known to be in
+        # the inventory.  So no sealed passage can break rule V4.
         root, word = NodeId(1, 1), NodeId(0, 1)
-        for category in (Category("Z", "Zeta"), Category("A", "Agent")):
+        for category in ("Z", "A", ("A", "Participant"), None):
             with pytest.raises(UnknownCategory) as exc:
                 Passage.assemble("p", ["a"], root, [], [Edge(root, word, category)])
             assert str(exc.value) == f"unregistered category: {category!r}"
-        p = Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category("A", "Participant"))])
-        assert parse_xml(serialize_xml(p)) == p  # an equal Category is the registered one
+        p = Passage.assemble("p", ["a"], root, [], [Edge(root, word, Category("A"))])
+        assert parse_xml(serialize_xml(p)) == p
 
 
 class TestFreeze:
@@ -840,7 +878,7 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
         "duplicate", "second-primary", "implicit-parent", "terminal-parent",
         "unknown-parent", "unknown-child", "self-loop", "cycle", "unreachable", "root-parent",
         "terminal-unit", "kind-value", "taken-id", "wrong-layer", "remote-only", "unknown-code",
-        "renamed-code",
+        "plain-code",
     ])
     if defect == "duplicate" and edges:
         added = rng.choice(edges)
@@ -868,10 +906,10 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
         edge = rng.choice(primary)
         edges[edges.index(edge)] = edge._replace(remote=True)
         return
-    elif defect in ("unknown-code", "renamed-code") and edges:
+    elif defect in ("unknown-code", "plain-code") and edges:  # a label that is no Category
         edge = rng.choice(edges)
-        code = "Z" if defect == "unknown-code" else edge.category.code
-        edges[edges.index(edge)] = edge._replace(category=Category(code, "Zeta"))
+        code = "Z" if defect == "unknown-code" else str(edge.category)
+        edges[edges.index(edge)] = edge._replace(category=code)
         return
     elif defect == "unreachable":
         units.insert(rng.randint(0, len(units)), (NodeId(1, 901), NodeKind.NON_TERMINAL))

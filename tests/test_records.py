@@ -1,6 +1,7 @@
 """The record types: namedtuples for the immutable ones, RuleSet and NodeId
 included, and ``__slots__`` classes for the three mutable reports.  Each keeps
-the repr, equality and copying behaviour it had as a dataclass."""
+the repr, equality and copying behaviour it had as a dataclass, but Category:
+a str whose value is its code, so its repr, and an Edge's, is the code's."""
 import copy
 import pickle
 from collections import Counter
@@ -21,13 +22,13 @@ STRATA = f"{{'all': {ZERO}, 'primary': {ZERO}, 'remote': {ZERO}}}"
 
 #: One record of each type and the repr it had as a dataclass.
 RECORDS = [
-    (A, "Category(code='A', longname='Participant')"),
+    (A, "'A'"),
     (Node(NodeId(0, 1), NodeKind.TERMINAL, "a", 1),
      "Node(id=NodeId(layer=0, index=1), kind=<NodeKind.TERMINAL: 'terminal'>, text='a', "
      "position=1)"),
     (Edge(NodeId(1, 1), NodeId(0, 1), A, True),
      "Edge(parent=NodeId(layer=1, index=1), child=NodeId(layer=0, index=1), "
-     "category=Category(code='A', longname='Participant'), remote=True)"),
+     "category='A', remote=True)"),
     (EdgeSignature((1, 2), "A", False), "EdgeSignature(span=(1, 2), category='A', remote=False)"),
     (BilexicalRow(1, "a", 0, "root"), "BilexicalRow(position=1, form='a', head=0, deprel='root')"),
     (Violation("V1", "1.1", "m"), "Violation(rule='V1', ref='1.1', message='m')"),
@@ -62,7 +63,7 @@ class TestTupleRecords:
 
     def test_equal_to_plain_tuple_and_unpack(self):
         edge = Edge(NodeId(1, 1), NodeId(0, 1), A)
-        assert edge == ((1, 1), (0, 1), ("A", "Participant"), False)
+        assert edge == ((1, 1), (0, 1), "A", False)
         assert len(edge) == 4
         parent, child, category, remote = edge
         assert (parent, child, category.code, remote) == (edge.parent, edge.child, "A", False)
@@ -73,8 +74,9 @@ class TestTupleRecords:
         assert type(other) is Edge and other.remote and not edge.remote
 
     def test_fields_cannot_be_assigned(self):
-        with pytest.raises(AttributeError):
-            A.code = "P"
+        for name in ("code", "longname"):  # Category's are read-only properties
+            with pytest.raises(AttributeError):
+                setattr(A, name, "P")
 
 
 class TestRuleSet:
