@@ -1,5 +1,5 @@
-"""Edge category inventory of the foundational layer, and Category, the
-edge label: a str that is one of its codes."""
+"""Edge category inventory of the foundational layer, and Category, the edge label:
+a str that is one of its codes and knows what normalization makes of it."""
 from __future__ import annotations
 
 from collections.abc import Iterable
@@ -45,7 +45,8 @@ def report_order(codes: Iterable[str]) -> list[str]:
 
 class Category(str):
     """An edge label: a str equal to its code, one of ALL_CODES.  ``code`` is the label
-    itself and ``longname`` reads ALL_CODES; Category(code) and from_code return the registry's object."""
+    itself, ``longname`` reads ALL_CODES and ``normalized`` is the category normalization puts in
+    its place (T: D, Q: E, else itself); Category(code) and from_code return the registry's object."""
 
     __slots__ = ()
 
@@ -60,5 +61,7 @@ class Category(str):
     longname = property(ALL_CODES.__getitem__)
 
 
-#: Every category by its code.
+#: Every category by its code, and each category's normalized form.
 CATEGORIES = {code: str.__new__(Category, code) for code in ALL_CODES}
+_NORMALIZED = {c: CATEGORIES[LEGACY_REPLACEMENT.get(c, c)] for c in CATEGORIES.values()}
+Category.normalized = property(_NORMALIZED.__getitem__)

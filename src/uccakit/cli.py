@@ -11,7 +11,8 @@ type but Word or Punctuation), or an input that is missing, a directory holding 
 *.xml file, or neither a regular file nor a directory (a FIFO or a device, never
 opened; a directory's *.xml entries must be regular files), or, for convert, a token
 holding a tab or a line break, or, for validate without --json, a passage id holding
-one (none of that file's lines printed), offending path named on stderr, 3 token
+one (none of that file's lines printed), or, for normalize, a passage where relabeling
+merges two remote edges into one, offending path named on stderr, 3 token
 mismatch between system and gold (both paths named on stderr, with the first
 difference), 4 validation violations under --strict.  normalize and convert write
 only once every input has loaded, so a refused input leaves --out as it was.
@@ -159,7 +160,13 @@ def _cmd_normalize(args) -> int:
     files = _xml_files(source)  # a missing input is named as such, not as the --out
     if os.path.realpath(out_dir) == os.path.realpath(source.parent if source.is_file() else source):
         raise _Exit(EXIT_USAGE, f"{args.out}: is the input's directory, which normalize would overwrite")
-    outputs = [(path.name, formats.serialize_xml(normalize(_load(path)))) for path in files]
+    outputs = []
+    for path in files:
+        fresh = normalize(passage := _load(path))
+        if len(fresh.edges) < len(passage.edges):  # relabeling made two remote edges one
+            raise _Exit(EXIT_PARSE, f"{path}: normalize would drop a remote edge "
+                                    "that relabeling merges with another")
+        outputs.append((path.name, formats.serialize_xml(fresh)))
     _write_all(out_dir, outputs)
     return EXIT_OK
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from xml.parsers.expat import ExpatError, ParserCreate
 
-from .categories import CATEGORIES, LEGACY_REPLACEMENT, Category
+from .categories import CATEGORIES, Category
 from .errors import DanglingReference, GraphError, XmlFormatError, XmlSyntax, shown
 from .graph import Edge, NodeId, NodeKind, Passage
 
@@ -207,9 +207,8 @@ def export_text(passage: Passage) -> str:
 #: (the rule is in export_bilexical).
 HEAD_PRIORITY = ["C", "P", "S", "H", "A", "D", "E", "N", "R", "L", "G", "F", "U"]
 
-#: Edge code -> rank in HEAD_PRIORITY; legacy T/Q rank as their replacements.
-_HEAD_RANK = {code: rank for rank, code in enumerate(HEAD_PRIORITY)}
-_HEAD_RANK.update((old, _HEAD_RANK[new]) for old, new in LEGACY_REPLACEMENT.items())
+#: Category -> the rank of its normalized form in HEAD_PRIORITY.
+_HEAD_RANK = {c: HEAD_PRIORITY.index(c.normalized) for c in CATEGORIES.values()}
 
 #: Relation used for the token heading the whole passage.
 ROOT_DEPREL = "root"
@@ -245,7 +244,7 @@ def export_bilexical(passage: Passage) -> list[BilexicalRow]:
             head = heads[nid] = heads[headed[0][2]]
             first[nid] = min(entry[1] for entry in headed)
             for _, _, child, code in headed[1:]:
-                rows[heads[child]] = (head, LEGACY_REPLACEMENT.get(code, code))
+                rows[heads[child]] = (head, code.normalized)
     rows[heads[passage.root]] = (0, ROOT_DEPREL)
     return [BilexicalRow(t.position, t.text, *rows[t.position]) for t in passage.terminals]
 

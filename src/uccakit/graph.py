@@ -27,7 +27,7 @@ from enum import Enum
 from itertools import count, repeat
 from types import MappingProxyType
 
-from .categories import LEGACY_REPLACEMENT, Category
+from .categories import Category
 from .errors import (
     DuplicateEdge,
     DuplicatePrimaryParent,
@@ -109,9 +109,6 @@ class Node(namedtuple("Node", "id kind text position", defaults=(None, None))):
 
 Edge = namedtuple("Edge", "parent child category remote", defaults=(False,))
 
-
-#: Legacy code -> the category that normalize puts in its place.
-_REPLACEMENTS = {code: Category(new) for code, new in LEGACY_REPLACEMENT.items()}
 
 #: A tuple record from checked fields, without NodeId's or a namedtuple's Python __new__.
 _new = tuple.__new__
@@ -429,17 +426,17 @@ class Passage:
 
 
 def normalize(passage: Passage) -> Passage:
-    """Relabel every T edge to D and every Q edge to E.
+    """Relabel every edge to its category's ``normalized`` form: T to D, Q to E.
 
-    The input must be sealed.  One without a legacy label is returned as is;
-    otherwise the input keeps its labels.  Relabeling cannot change the primary
-    tree, so the sealed copy shares the input's nodes, parented set, bottom-up
-    order and yields; its edge tables, linked without the checks relabeling cannot
-    break, and the incoming cache that sealing starts are its own.  A remote edge
-    equal to one linked before it, which only relabeling can make, is dropped.
+    The input must be sealed.  One whose labels are all normalized is returned as
+    is; otherwise the input keeps its labels.  Relabeling cannot change the primary
+    tree, so the sealed copy shares the input's nodes, parented set, bottom-up order
+    and yields; its edge tables, linked without the checks relabeling cannot break,
+    and the incoming cache that sealing starts are its own.  A remote edge equal to
+    one linked before it, which only relabeling can make, is dropped; the CLI refuses.
     """
     passage.require_sealed()
-    if not any(edge[2] in _REPLACEMENTS for edge in passage._edges):
+    if all(edge[2].normalized is edge[2] for edge in passage._edges):
         return passage
     fresh = object.__new__(type(passage))
     fresh.__dict__.update(passage.__dict__)  # copy.copy, without importing copy
@@ -447,9 +444,8 @@ def normalize(passage: Passage) -> Passage:
     fresh._out = out = {nid: () if nid[0] == TERMINAL_LAYER else [] for nid in passage._nodes}
     for edge in passage._edges:
         parent, child, category, remote = edge
-        mapped = _REPLACEMENTS.get(category)
-        if mapped is not None:
-            edge = _new(Edge, (parent, child, mapped, remote))
+        if category.normalized is not category:
+            edge = _new(Edge, (parent, child, category.normalized, remote))
         children = out[parent]
         if remote and edge in children:
             continue

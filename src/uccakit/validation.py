@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .categories import LEGACY, PUNCT_CODE
+from .categories import PUNCT_CODE
 from .graph import Passage, normalize  # noqa: F401 (perfbench/traced.py calls validation.normalize)
 from .records import Record
 
@@ -80,7 +80,7 @@ def validate(passage: Passage, rules: RuleSet | None = None) -> ValidationReport
             report.violations.append(Violation(rule, str(ref), message))
 
     for parent, child, category, _ in passage.edges:
-        if category in LEGACY:
+        if category.normalized is not category:
             flag("V0", f"{parent}->{child}", f"legacy label {category}; run normalize first")
 
     for unit in passage.non_terminals:

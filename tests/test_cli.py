@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from uccakit import cli, stats
 from uccakit.formats import parse_xml, serialize_xml
-from uccakit.graph import build_passage
+from uccakit.graph import NodeKind, build_passage
 from uccakit.validation import normalize
 
 from .helpers import CYCLIC_DOCUMENTS, deep_center_chain, random_passage, rebuild, relabel
@@ -456,6 +456,34 @@ class TestNormalize:
         code, out, err = run(capsys, "normalize", "X", "--out", out_name)
         assert (code, out, err) == (cli.EXIT_PARSE, "", "X: does not exist\n")
         assert list(tmp_path.iterdir()) == []  # no out directory made
+
+    def test_refuses_a_remote_edge_that_relabeling_merges(self, capsys, tmp_path):
+        # Unit 1.3 has remote T and D edges into 1.2; relabeled, they are one edge.
+        p = build_passage("merge", ["a", "b", "c"])
+        scene, other = p.add_node(NodeKind.NON_TERMINAL), p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(p.root, scene, "H")
+        p.add_edge(p.root, other, "H")
+        p.add_edge(scene, p.terminal_id(1), "P")
+        p.add_edge(other, p.terminal_id(2), "P")
+        p.add_edge(other, p.terminal_id(3), "A")
+        p.add_edge(other, scene, "T", remote=True)
+        p.add_edge(other, scene, "D", remote=True)
+        p.freeze()
+        assert (str(other), str(scene)) == ("1.3", "1.2")
+        assert len(normalize(p).edges) == len(p.edges) - 1  # the library merges as before
+        src, out_dir = tmp_path / "src", tmp_path / "out"
+        src.mkdir()
+        (src / "a.xml").write_bytes(serialize_xml(remote_sample()))  # loads, but is not written
+        merging = src / "b.xml"
+        merging.write_bytes(serialize_xml(p))
+        code, out, err = run(capsys, "normalize", str(src), "--out", str(out_dir))
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == f"{merging}: normalize would drop a remote edge that relabeling merges with another\n"
+        assert not out_dir.exists()
+        for argv in (["evaluate", "--gold", str(merging), "--system", str(merging)],
+                     ["validate", str(merging)], ["stats", str(merging)],
+                     ["convert", str(merging), "--to", "bilexical", "--out", str(out_dir)]):
+            assert run(capsys, *argv)[0] == cli.EXIT_OK, argv
 
     def test_writes_relabeled_files(self, capsys, tmp_path):
         src = tmp_path / "src"

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uccakit import graph
-from uccakit.categories import ALL_CODES, Category
+from uccakit.categories import ALL_CODES, LEGACY_REPLACEMENT, Category
 from uccakit.errors import (
     DuplicateEdge,
     DuplicatePrimaryParent,
@@ -293,6 +293,30 @@ class TestLabelContract:
     def test_every_code_makes_its_category(self):
         for code, longname in ALL_CODES.items():
             assert Category(code) == code and Category(code).longname == longname
+
+    @pytest.mark.parametrize("code", list(ALL_CODES))
+    def test_normalized_is_the_replacement_and_read_only(self, code):
+        label, expected = Category(code), LEGACY_REPLACEMENT.get(code, code)
+        assert type(label.normalized) is Category and label.normalized == expected
+        assert label.normalized is Category(expected)  # the registry's
+        assert label.normalized.normalized is label.normalized  # idempotent
+        with pytest.raises(AttributeError):
+            label.normalized = label
+        assert label.normalized == expected
+
+    @pytest.mark.parametrize("code", list(ALL_CODES))
+    def test_normalize_export_and_v0_agree_on_a_label(self, code):
+        """A passage whose one non-head edge is labelled `code` normalizes to, and
+        exports, LEGACY_REPLACEMENT's value for it; V0 trips iff that differs from `code`."""
+        expected = LEGACY_REPLACEMENT.get(code, code)
+        p = build_passage("p", ["x", "y"])
+        p.add_edge(p.root, p.terminal_id(1), "C")  # ranks first, so token 1 heads the root
+        p.add_edge(p.root, p.terminal_id(2), code)
+        p.freeze()
+        assert [e.category for e in normalize(p).edges] == ["C", expected]
+        assert [row.deprel for row in export_bilexical(p)] == ["root", expected]
+        v0 = [v.message for v in validate(p).violations if v.rule == "V0"]
+        assert v0 == ([f"legacy label {code}; run normalize first"] if expected != code else [])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))

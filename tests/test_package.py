@@ -77,16 +77,27 @@ PASSAGE_PRIVATE = {
 GRAPH_ONLY = PASSAGE_PRIVATE | {"is_punctuation"}
 
 
-def test_no_module_but_graph_names_a_private_passage_member():
-    """Code outside graph.py names none of GRAPH_ONLY; a comment or string may."""
+def named_outside(home: str, names: set[str]) -> list[str]:
+    """Where code in a uccakit module other than `home` names one of `names`;
+    a comment or string does not count."""
     found = []
     for path in sorted(Path(uccakit.__file__).parent.glob("*.py")):
-        if path.name != "graph.py":
+        if path.name != home:
             with tokenize.open(path) as file:
                 found += [f"{path.name}:{token.start[0]}: {token.string}"
                           for token in tokenize.generate_tokens(file.readline)
-                          if token.type == tokenize.NAME and token.string in GRAPH_ONLY]
-    assert found == []
+                          if token.type == tokenize.NAME and token.string in names]
+    return found
+
+
+def test_no_module_but_graph_names_a_private_passage_member():
+    assert named_outside("graph.py", GRAPH_ONLY) == []
+
+
+def test_no_module_but_categories_names_the_legacy_labels():
+    """What a label normalizes to is Category.normalized; only categories.py
+    names the legacy tables it is built from."""
+    assert named_outside("categories.py", {"LEGACY", "LEGACY_REPLACEMENT"}) == []
 
 
 def test_dir_lists_every_name_before_first_use():
