@@ -12,11 +12,12 @@ a bottom-up node order and, in that order, fills the yield keys of all nodes.
 Only this module knows what a key is, an integer mask with bit k set for
 token k; ``yield_of`` alone decodes one to positions.
 
-Queries that read a table only sealing starts (``incoming``, ``bottom_up``, the yields) need
-a sealed passage; those on what construction, ``add_node`` and ``add_edge`` maintain (``nodes``,
-``edges``, ``outgoing``, ``terminals``, ``punctuation``, ``node``, ``non_terminals``) answer at
-any time.  Accessors return tuples, new ones from ``nodes``, ``non_terminals`` and a passage
-being built, but ``yield_keys`` a read-only view of its table, ``punctuation`` a frozenset.
+Queries that read what ``freeze`` computes (``bottom_up``, ``yield_keys``, ``yield_of``,
+``is_discontinuous``) need a sealed passage; those on what construction, ``add_node`` and
+``add_edge`` maintain (``nodes``, ``edges``, ``outgoing``, ``is_reentrant``, ``terminals``,
+``punctuation``, ``node``, ``non_terminals``) answer at any time.  Accessors return tuples, new
+ones from ``nodes``, ``non_terminals`` and a passage being built, but ``yield_keys`` a read-only
+view of its table, ``punctuation`` a frozenset.
 """
 from __future__ import annotations
 
@@ -153,6 +154,7 @@ class Passage:
         # A terminal has no children: one shared () stands for every list.
         self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
         self._has_parent: set[NodeId] = set()  # the child of every primary edge
+        self._reentrant: set[NodeId] = set()  # the child of every remote edge
         self._max_unit_index = 0
         self.root = NodeId(UNIT_LAYER, 1) if root_id is None else root_id
         self._add_units([(self.root, NodeKind.NON_TERMINAL)])
@@ -289,18 +291,12 @@ class Passage:
         self.node(node_id)
         return tuple(self._out[node_id])
 
-    # -- queries (sealed passages only) -----------------------------------
+    def is_reentrant(self, node_id: NodeId) -> bool:
+        """True iff a remote edge points at the node; once sealed, iff it has two or
+        more incoming edges, as the root has no parent and every other node one primary."""
+        return self.node(node_id).id in self._reentrant
 
-    def incoming(self, node_id: NodeId) -> tuple[Edge, ...]:
-        """The edges into a node, in edge order, from a table that the first
-        call builds in one pass over the edges and later calls reuse."""
-        self.require_sealed()
-        if not self._in:
-            table = {nid: [] for nid in self._nodes}
-            for edge in self._edges:
-                table[edge[1]].append(edge)
-            self._in = dict(zip(table, map(tuple, table.values())))
-        return self._in[self.node(node_id).id]
+    # -- queries (sealed passages only) -----------------------------------
 
     def yield_keys(self) -> MappingProxyType[NodeId, Hashable]:
         """A read-only view of every node's yield key: hashable, falsy iff the yield is empty, and
@@ -335,11 +331,6 @@ class Passage:
         mask = self._yields[self.node(node_id).id]
         return (mask + (mask & -mask)) & mask != 0
 
-    def is_reentrant(self, node_id: NodeId) -> bool:
-        """True iff the node has at least two incoming edges, that is, iff a remote
-        edge points at it: the root has no parent and every other node one primary."""
-        return len(self.incoming(node_id)) > 1
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -370,10 +361,9 @@ class Passage:
             raise SealedPassage(f"passage {shown(self.passage_id)} is sealed")
 
     def _seal(self) -> None:
-        """Store the edge tables as tuples and start the incoming cache, once every check has passed."""
+        """Store the edge tables as tuples, once every check has passed."""
         self._edges, out = tuple(self._edges), self._out
         self._out = dict(zip(out, map(tuple, out.values())))
-        self._in = {}  # each node's incoming edges, filled by the first incoming()
         self._sealed = True
 
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
@@ -397,9 +387,9 @@ class Passage:
         self._max_unit_index = top
 
     def _link(self, edges: Iterable[Edge]) -> None:
-        """Append edges, each after the structural checks, none a graph search:
-        NodeId ends in the passage, a Category label, not a plain str (so parse_xml
-        reads the XML back), a non-terminal parent, no duplicate, one primary parent at most."""
+        """Append edges, each after the structural checks, none a graph search: NodeId ends
+        in the passage, a Category label, not a plain str (so parse_xml reads the XML back), a
+        non-terminal parent, no duplicate, a True or False remote flag, one primary parent at most."""
         nodes, out, has_parent, append = self._nodes, self._out, self._has_parent, self._edges.append
         for edge in edges:
             parent, child, category, remote = edge
@@ -417,10 +407,14 @@ class Passage:
             children = out[parent]
             if (remote or child in has_parent) and edge in children:
                 raise DuplicateEdge(f"duplicate edge {shown(parent)} -{category}-> {shown(child)}")
-            if not remote:
+            if remote is False:
                 if child in has_parent:
                     raise DuplicatePrimaryParent(f"{shown(child)} already has a primary parent")
                 has_parent.add(child)
+            elif remote is True:
+                self._reentrant.add(child)
+            else:
+                raise GraphError(f"remote flag must be True or False: {shown(remote)!r}")
             append(edge)
             children.append(edge)
 
@@ -429,11 +423,11 @@ def normalize(passage: Passage) -> Passage:
     """Relabel every edge to its category's ``normalized`` form: T to D, Q to E.
 
     The input must be sealed.  One whose labels are all normalized is returned as
-    is; otherwise the input keeps its labels.  Relabeling cannot change the primary
-    tree, so the sealed copy shares the input's nodes, parented set, bottom-up order
-    and yields; its edge tables, linked without the checks relabeling cannot break,
-    and the incoming cache that sealing starts are its own.  A remote edge equal to
-    one linked before it, which only relabeling can make, is dropped; the CLI refuses.
+    is; otherwise the input keeps its labels.  Relabeling changes no edge's child, so
+    the sealed copy shares the input's nodes, parented and reentrant sets, bottom-up
+    order and yields; only its edge tables, linked without the checks relabeling cannot
+    break, are its own.  A remote edge equal to one linked before it, which only
+    relabeling can make, is dropped; the CLI refuses.
     """
     passage.require_sealed()
     if all(edge[2].normalized is edge[2] for edge in passage._edges):

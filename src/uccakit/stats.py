@@ -60,7 +60,7 @@ class StatsReport(Record):
         self.non_root_nodes += len(nodes) - 1
         self.non_terminals += len(units)
         self.discontinuous += sum(passage.is_discontinuous(unit.id) for unit in units)
-        # A node is reentrant iff a remote edge points at it (Passage.is_reentrant).
+        # The children of remote edges: the nodes Passage.is_reentrant answers True for.
         self.reentrant += len({edge[1] for edge in edges if edge[3]})
         self.edges += len(edges)
         self.remote += remote

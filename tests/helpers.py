@@ -495,11 +495,12 @@ def _reference_link(passage: Passage, in_: dict, edge: Edge) -> None:
         raise TerminalAsParent(
             f"{parent_node.kind.value} node {shown(parent)} cannot have children"
         )
-    for e in in_[child]:
-        if e == edge:
-            raise DuplicateEdge(f"duplicate edge {shown(parent)} -{edge.category}-> {shown(child)}")
-        if not (edge.remote or e.remote):
-            raise DuplicatePrimaryParent(f"{shown(child)} already has a primary parent")
+    if edge in in_[child]:
+        raise DuplicateEdge(f"duplicate edge {shown(parent)} -{edge.category}-> {shown(child)}")
+    if edge.remote is not True and edge.remote is not False:
+        raise GraphError(f"remote flag must be True or False: {shown(edge.remote)!r}")
+    if not edge.remote and any(not e.remote for e in in_[child]):
+        raise DuplicatePrimaryParent(f"{shown(child)} already has a primary parent")
     passage._edges.append(edge)
     passage._out[parent].append(edge)
     in_[child].append(edge)
@@ -529,7 +530,7 @@ def _reference_freeze(passage: Passage, in_: dict) -> Passage:
     passage._order = tuple(order[::-1])
     passage._edges = tuple(passage._edges)
     passage._out = {nid: tuple(children) for nid, children in passage._out.items()}
-    passage._in = {}
+    passage._reentrant = {nid for nid, parents in in_.items() if len(parents) > 1}
     passage._sealed = True
     passage._yields = {nid: sum(1 << k for k in positions)
                        for nid, positions in reference_yields(passage).items()}

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,10 +39,8 @@ from .helpers import (
 )
 from .samples import implicit_sample, remote_sample
 
-#: Each query or function that reads a table only a sealed passage keeps.
+#: Each query that reads what freeze computes, and each module function that needs a sealed passage.
 SEALED_ONLY = {
-    "incoming": lambda p: p.incoming(p.root),
-    "is_reentrant": lambda p: p.is_reentrant(p.root),
     "yield_keys": Passage.yield_keys,
     "yield_of": lambda p: p.yield_of(p.root),
     "bottom_up": Passage.bottom_up,
@@ -426,6 +425,28 @@ class TestAddEdge:
         assert p.edges[-1] == Edge(p.root, p.terminal_id(1), Category.from_code("A"), True)
         assert p.is_reentrant(p.terminal_id(1))
 
+    @pytest.mark.parametrize("flag", [2, None, "yes", 0.0, 1, 0])
+    def test_remote_flag_must_be_true_or_false(self, flag):
+        # A 2 once sealed, counted as 2 remote edges and broke score_passage;
+        # None, "yes" and 0.0 broke score_passage or corpus_stats.
+        root, a, b = NodeId(1, 1), NodeId(0, 1), NodeId(0, 2)
+        message = f"remote flag must be True or False: {flag!r}"
+        for child in (a, b):  # with a primary parent, and without one
+            p = build_passage("p", ["x", "y"])
+            p.add_edge(root, a, "A")
+            with pytest.raises(GraphError) as by_add_edge:
+                p.add_edge(root, child, "C", remote=flag)
+            with pytest.raises(GraphError) as by_assemble:
+                Passage.assemble("p", ["x", "y"], root, [], [Edge(root, a, Category("A")),
+                                                             Edge(root, child, Category("C"), flag)])
+            for raised in (by_add_edge, by_assemble):
+                assert type(raised.value) is GraphError and str(raised.value) == message
+            assert len(p.edges) == 1 and not p.is_reentrant(child)
+            p.add_edge(root, b, "C")  # the default is a primary edge
+            p.add_edge(root, child, "D", remote=True)
+            assert p.freeze().is_reentrant(child)
+            assert [edge.remote for edge in p.edges] == [False, False, True]
+
     def test_add_edge_refuses_unregistered_category_as_assemble_does(self):
         # add_edge makes a Category of its label, which refuses an unknown code;
         # assemble refuses an Edge holding anything but a Category.
@@ -592,10 +613,7 @@ class TestSealedTables:
         assert p.bottom_up() is p.bottom_up()
         for node in p.nodes:
             assert p.outgoing(node.id) is p.outgoing(node.id)
-            assert p.incoming(node.id) is p.incoming(node.id)  # one table, built once
-        reentrant = next(n.id for n in p.nodes if p.is_reentrant(n.id))
-        for table in (p.terminals, p.nodes, p.non_terminals, p.edges, p.outgoing(p.root),
-                      p.incoming(reentrant), p.bottom_up()):
+        for table in (p.terminals, p.nodes, p.non_terminals, p.edges, p.outgoing(p.root), p.bottom_up()):
             assert type(table) is tuple
 
     def test_freeze_again_changes_nothing(self, remote_passage):
@@ -829,20 +847,50 @@ class TestReentrancy:
     def test_root_never_reentrant(self, remote_passage):
         assert not remote_passage.is_reentrant(remote_passage.root)
 
-    @given(passages)
-    def test_matches_indegree(self, p):
+    def test_answers_while_building(self):
+        p = build_passage("p", ["x", "y"])
+        u = p.add_node(NodeKind.NON_TERMINAL)
+        p.add_edge(u, p.terminal_id(1), "A", remote=True)  # before either has a primary parent
+        assert p.is_reentrant(p.terminal_id(1)) and not p.is_reentrant(u)
+        with pytest.raises(UnknownNode):
+            p.is_reentrant(NodeId(1, 9))
+        assert not p.sealed
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    @example(86, True, True)  # seeds whose relabeling drops a remote edge, as about
+    @example(127, True, True)  # one draw in 65 with remotes and legacy labels does
+    def test_matches_indegree(self, seed, remotes, legacy_labels):
+        """A node is reentrant iff a remote edge in `edges` points at it, on a
+        passage being built from a random part of a draw's edges in random
+        order, on the sealed draw and on its normalize copy; once sealed, iff
+        two or more edges point at it."""
+        rng = random.Random(seed)
+        p = random_passage(rng, max_units=4, max_remotes=6 if remotes else 0, legacy_labels=legacy_labels)
+        building = Passage(p.passage_id, p.tokens, root_id=p.root)
         for node in p.nodes:
-            assert p.is_reentrant(node.id) == (len(p.incoming(node.id)) >= 2)
+            if not node.is_terminal and node.id != p.root:
+                building.add_node(node.kind, node.id)
+        edges = rng.sample(p.edges, len(p.edges))
+        for edge in edges[:rng.randint(0, len(edges))]:
+            building.add_edge(*edge)
+        for passage in (building, p, normalize(p)):
+            remote_children = {edge.child for edge in passage.edges if edge.remote}
+            for node in passage.nodes:
+                assert passage.is_reentrant(node.id) == (node.id in remote_children)
+            if passage.sealed:
+                indegree = Counter(edge.child for edge in passage.edges)
+                assert remote_children == {nid for nid, parents in indegree.items() if parents >= 2}
+                assert corpus_stats([passage]).reentrant == len(remote_children)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
     @example(86, True, True)  # seeds whose relabeling drops a remote edge, as about
     @example(127, True, True)  # one draw in 65 with remotes and legacy labels does
     def test_derived_reads_match_reference_lists(self, seed, remotes, legacy_labels):
-        # incoming and is_reentrant read a table built on the first ask, and
-        # the reentrancy count the edge tuple; the reference assembly keeps a
-        # list of incoming edges per node.  The normalized copy is read after
-        # its source, whose table it must not share.
+        # is_reentrant reads the set _link fills, and the reentrancy count the
+        # edge tuple; the reference assembly keeps a list of incoming edges per
+        # node.  The normalized copy shares its source's set.
         p = random_passage(random.Random(seed), max_units=4, max_remotes=6 if remotes else 0,
                            legacy_labels=legacy_labels)
         passages = [p]
@@ -853,11 +901,10 @@ class TestReentrancy:
                                passage.edges, lists)
             assert list(lists) == [n.id for n in passage.nodes]
             for nid, incoming in lists.items():
-                assert passage.incoming(nid) == tuple(incoming)
                 assert passage.is_reentrant(nid) == (len(incoming) >= 2)
             reentrant = sum(len(incoming) >= 2 for incoming in lists.values())
             assert corpus_stats([passage]).reentrant == reentrant
-            # Once p's table is filled; a passage without T/Q normalizes to itself.
+            # A passage without T/Q normalizes to itself.
             if passage is p and (normalized := normalize(p)) is not p:
                 passages.append(normalized)
 
@@ -867,9 +914,9 @@ class TestReentrancy:
 def test_construction_safety(p):
     """Random edge insertion plus freeze never yields a broken passage."""
     assert p.sealed
+    primary_parents = Counter(e.child for e in p.edges if not e.remote)
     for node in p.nodes:
-        primaries = [e for e in p.incoming(node.id) if not e.remote]
-        assert len(primaries) == (0 if node.id == p.root else 1)
+        assert primary_parents[node.id] == (0 if node.id == p.root else 1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -902,7 +949,7 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
         "duplicate", "second-primary", "implicit-parent", "terminal-parent",
         "unknown-parent", "unknown-child", "self-loop", "cycle", "unreachable", "root-parent",
         "terminal-unit", "kind-value", "taken-id", "wrong-layer", "remote-only", "unknown-code",
-        "plain-code",
+        "plain-code", "remote-flag",
     ])
     if defect == "duplicate" and edges:
         added = rng.choice(edges)
@@ -929,6 +976,10 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
     elif defect == "remote-only" and primary:  # a child left with remote parents only
         edge = rng.choice(primary)
         edges[edges.index(edge)] = edge._replace(remote=True)
+        return
+    elif defect == "remote-flag" and edges:  # a flag that is no bool, some equal to one
+        edge = rng.choice(edges)
+        edges[edges.index(edge)] = edge._replace(remote=rng.choice([2, None, "yes", 0.0, 1, 0]))
         return
     elif defect in ("unknown-code", "plain-code") and edges:  # a label that is no Category
         edge = rng.choice(edges)

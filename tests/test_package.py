@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import uccakit
+from uccakit.graph import Passage, build_passage, normalize
 
 PUBLIC = [
     "BilexicalRow",
@@ -66,11 +67,20 @@ def test_normalize_has_one_definition():
     assert uccakit.normalize is uccakit.graph.normalize is uccakit.validation.normalize
 
 
+def passage_private() -> set[str]:
+    """Passage's private tables and methods: the underscore names, dunders
+    aside, of its class and of a sealed passage's and a normalize copy's
+    attributes."""
+    p = build_passage("p", ["a"])
+    p.add_edge(p.root, p.terminal_id(1), "T")  # a legacy label, so normalize copies
+    relabeled = normalize(p.freeze())
+    assert relabeled is not p
+    names = {*vars(Passage), *vars(p), *vars(relabeled)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
 #: Passage's private tables and methods, which only graph.py may name.
-PASSAGE_PRIVATE = {
-    "_nodes", "_edges", "_out", "_in", "_yields", "_order", "_has_parent", "_terminals",
-    "_tokens", "_punctuation", "_link", "_add_units", "_seal", "_require_mutable",
-}
+PASSAGE_PRIVATE = passage_private()
 
 #: What only graph.py may name: those, and the guess at a terminal's type,
 #: which the rest read from Passage.punctuation.
@@ -92,6 +102,15 @@ def named_outside(home: str, names: set[str]) -> list[str]:
 
 def test_no_module_but_graph_names_a_private_passage_member():
     assert named_outside("graph.py", GRAPH_ONLY) == []
+
+
+def test_private_members_derived_hold_the_listed_ones():
+    """The names once listed by hand, but the incoming cache, which is gone."""
+    assert PASSAGE_PRIVATE >= {
+        "_nodes", "_edges", "_out", "_yields", "_order", "_has_parent", "_terminals",
+        "_tokens", "_punctuation", "_link", "_add_units", "_seal", "_require_mutable",
+    }
+    assert "_in" not in PASSAGE_PRIVATE
 
 
 def test_no_module_but_categories_names_the_legacy_labels():

@@ -26,13 +26,13 @@ def passage_with_labels(*codes):
 
 
 def assert_tables_agree(p):
-    """Every edge of a sealed passage is listed once under its parent and
-    once under its child, and the tables hold no other edge."""
+    """Every edge of a sealed passage is listed once under its parent, the
+    tables hold no other edge, and the reentrant nodes are the children of
+    its remote edges."""
     for edge in p.edges:
         assert p.outgoing(edge.parent).count(edge) == 1
-        assert p.incoming(edge.child).count(edge) == 1
     assert sum(len(p.outgoing(n.id)) for n in p.nodes) == len(p.edges)
-    assert sum(len(p.incoming(n.id)) for n in p.nodes) == len(p.edges)
+    assert {n.id for n in p.nodes if p.is_reentrant(n.id)} == {edge.child for edge in p.edges if edge.remote}
     assert p.edges is p.edges and type(p.outgoing(p.root)) is tuple
 
 
@@ -67,6 +67,8 @@ class TestNormalize:
         remotes = [(e.parent, e.child, e.category.code) for e in p.edges if e.remote]
         assert remotes == [(raw.root, u, "D")]
         assert len(p.edges) == 4
+        assert [(e.category.code, e.remote) for e in p.edges if e.child == u] == [("H", False), ("D", True)]
+        assert p.is_reentrant(u)
         assert_tables_agree(p)
 
     def test_fixed_point_returns_same_structure(self, remote_passage):
