@@ -15,9 +15,9 @@ token k; ``yield_of`` alone decodes one to positions.
 Queries that read what ``freeze`` computes (``bottom_up``, ``yield_keys``, ``yield_of``,
 ``is_discontinuous``) need a sealed passage; those on what construction, ``add_node`` and
 ``add_edge`` maintain (``nodes``, ``edges``, ``outgoing``, ``is_reentrant``, ``terminals``,
-``punctuation``, ``node``, ``non_terminals``) answer at any time.  Accessors return tuples, new
-ones from ``nodes``, ``non_terminals`` and a passage being built, but ``yield_keys`` a read-only
-view of its table, ``punctuation`` a frozenset.
+``punctuation``, ``node``, ``non_terminals``) answer at any time.  Accessors return tuples, a
+new one per call but for ``terminals`` and ``bottom_up``, which hand out the passage's own;
+``yield_keys`` returns a read-only view of its table, ``punctuation`` a frozenset.
 """
 from __future__ import annotations
 
@@ -150,9 +150,9 @@ class Passage:
         self._nodes: dict[NodeId, Node] = dict(zip(ids, self._terminals))
         guessed = (nid for nid, token in zip(ids, tokens) if is_punctuation(token))
         self._punctuation = frozenset(guessed if punctuation is None else map(self.terminal_id, punctuation))
-        self._edges: list[Edge] | tuple[Edge, ...] = []
+        self._edges: list[Edge] = []
         # A terminal has no children: one shared () stands for every list.
-        self._out: dict[NodeId, list[Edge] | tuple[Edge, ...]] = dict.fromkeys(ids, ())
+        self._out: dict[NodeId, list[Edge]] = dict.fromkeys(ids, ())
         self._has_parent: set[NodeId] = set()  # the child of every primary edge
         self._reentrant: set[NodeId] = set()  # the child of every remote edge
         self._max_unit_index = 0
@@ -236,7 +236,7 @@ class Passage:
                     mask |= yields[child]
             yields[nid] = mask
         self._yields = yields
-        self._seal()
+        self._sealed = True
         return self
 
     # -- access -----------------------------------------------------------
@@ -360,12 +360,6 @@ class Passage:
         if self._sealed:
             raise SealedPassage(f"passage {shown(self.passage_id)} is sealed")
 
-    def _seal(self) -> None:
-        """Store the edge tables as tuples, once every check has passed."""
-        self._edges, out = tuple(self._edges), self._out
-        self._out = dict(zip(out, map(tuple, out.values())))
-        self._sealed = True
-
     def _add_units(self, units: Iterable[tuple[NodeId, NodeKind]]) -> None:
         """Register unattached layer-1 units, checking each one."""
         nodes, out = self._nodes, self._out
@@ -387,11 +381,13 @@ class Passage:
         self._max_unit_index = top
 
     def _link(self, edges: Iterable[Edge]) -> None:
-        """Append edges, each after the structural checks, none a graph search: NodeId ends
-        in the passage, a Category label, not a plain str (so parse_xml reads the XML back), a
-        non-terminal parent, no duplicate, a True or False remote flag, one primary parent at most."""
+        """Append edges, each after the structural checks, none a graph search: an Edge record,
+        NodeId ends in the passage, a Category label, not a plain str (so parse_xml reads the XML
+        back), a non-terminal parent, no duplicate, a True or False remote flag, at most one primary parent."""
         nodes, out, has_parent, append = self._nodes, self._out, self._has_parent, self._edges.append
         for edge in edges:
+            if type(edge) is not Edge:
+                raise GraphError(f"not an Edge but a {type(edge).__name__}: {shown(edge)!r}")
             parent, child, category, remote = edge
             if type(parent) is not NodeId or type(child) is not NodeId:
                 raise GraphError(f"not a NodeId: {shown(child if type(parent) is NodeId else parent)!r}")
@@ -445,7 +441,6 @@ def normalize(passage: Passage) -> Passage:
             continue
         edges.append(edge)
         children.append(edge)
-    fresh._seal()
     return fresh
 
 

@@ -487,6 +487,8 @@ def _reference_add_node(passage: Passage, in_: dict, kind: NodeKind, node_id: No
 
 
 def _reference_link(passage: Passage, in_: dict, edge: Edge) -> None:
+    if type(edge) is not Edge:
+        raise GraphError(f"not an Edge but a {type(edge).__name__}: {shown(edge)!r}")
     if not isinstance(edge.category, Category):
         raise UnknownCategory(f"unregistered category: {shown(edge.category)!r}")
     parent, child = edge.parent, edge.child
@@ -528,8 +530,6 @@ def _reference_freeze(passage: Passage, in_: dict) -> Passage:
                      if nid.layer == UNIT_LAYER and pending[nid])
         raise StructuralViolation("acyclicity", stuck)
     passage._order = tuple(order[::-1])
-    passage._edges = tuple(passage._edges)
-    passage._out = {nid: tuple(children) for nid, children in passage._out.items()}
     passage._reentrant = {nid for nid, parents in in_.items() if len(parents) > 1}
     passage._sealed = True
     passage._yields = {nid: sum(1 << k for k in positions)

@@ -447,6 +447,20 @@ class TestAddEdge:
             assert p.freeze().is_reentrant(child)
             assert [edge.remote for edge in p.edges] == [False, False, True]
 
+    def test_assemble_refuses_what_is_not_an_edge(self):
+        # A 4-tuple once sealed and then broke edge.remote, a list broke
+        # p == p, and a 3-tuple or a 5-tuple raised a bare ValueError.
+        root, word = NodeId(1, 1), NodeId(0, 1)
+        fields = (root, word, Category("A"), False)
+        for edge, kind in [(fields, "tuple"), (list(fields), "list"), (fields[:3], "tuple"),
+                           ((*fields, False), "tuple"), (EdgeSubclass(*fields), "EdgeSubclass")]:
+            with pytest.raises(GraphError) as raised:
+                Passage.assemble("p", ["a"], root, [], [edge])
+            assert type(raised.value) is GraphError
+            assert str(raised.value) == f"not an Edge but a {kind}: {shown(edge)!r}"
+        p = Passage.assemble("p", ["a"], root, [], [Edge(*fields)])
+        assert p.edges[0].remote is False and p == p
+
     def test_add_edge_refuses_unregistered_category_as_assemble_does(self):
         # add_edge makes a Category of its label, which refuses an unknown code;
         # assemble refuses an Edge holding anything but a Category.
@@ -603,16 +617,14 @@ class TestLongIdShortened:
 
 
 class TestSealedTables:
-    """Sealing stores the tables as tuples, which the accessors hand out as
-    they are; while a passage is built, they hand out snapshots."""
+    """Sealing keeps the tables construction built; the accessors hand out
+    tuples, the passage's own terminals and bottom-up order and snapshots
+    of the rest."""
 
     def test_sealed_accessors_do_not_copy(self, remote_passage):
         p = remote_passage
-        assert p.edges is p.edges
         assert p.terminals is p.terminals
         assert p.bottom_up() is p.bottom_up()
-        for node in p.nodes:
-            assert p.outgoing(node.id) is p.outgoing(node.id)
         for table in (p.terminals, p.nodes, p.non_terminals, p.edges, p.outgoing(p.root), p.bottom_up()):
             assert type(table) is tuple
 
@@ -697,7 +709,26 @@ class TestSealedTables:
         p.add_edge(p.root, u, "H")  # the missing edge
         p.freeze()
         assert p.sealed and len(p.edges) == 2
-        assert p.outgoing(p.root) is p.outgoing(p.root)
+
+    @pytest.mark.parametrize("complete", [True, False], ids=["sealed", "refused"])
+    def test_freeze_changes_no_build_table(self, complete):
+        rng = random.Random(0)
+        drawn = random_passage(rng, max_tokens=12, max_units=8, max_remotes=3)
+        p = build_passage(drawn.passage_id, drawn.tokens)
+        for node in drawn.nodes:
+            if not node.is_terminal and node.id != p.root:
+                p.add_node(node.kind, node.id)
+        for edge in drawn.edges[0 if complete else 1:]:  # the first is primary: without it, a child is unreached
+            p.add_edge(*edge)
+        tables = lambda: (p.edges, p.nodes, p.terminals, {n.id: p.outgoing(n.id) for n in p.nodes})
+        before = tables()
+        if complete:
+            assert p.freeze() is p and p.sealed
+        else:
+            with pytest.raises(StructuralViolation):
+                p.freeze()
+            assert not p.sealed
+        assert tables() == before
 
 
 class TestYieldMasks:
@@ -938,18 +969,23 @@ def test_shuffled_unit_order_round_trips(seed):
 # -- bulk assembly against the per-node, per-edge assembly it replaced ------
 
 
+class EdgeSubclass(Edge):
+    __slots__ = ()
+
+
 def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> None:
     """Put one defect at a random place in a passage's unit or edge list."""
     ids = [nid for nid, _ in units] + [p.root]
     parents = [nid for nid, kind in units if kind is NodeKind.NON_TERMINAL] + [p.root]
     children = [n.id for n in p.nodes if n.id != p.root]
     category = p.edges[0].category
-    primary = [e for e in edges if not e.remote]
+    records = [e for e in edges if type(e) is Edge]  # not those an earlier defect made no Edge
+    primary = [e for e in records if not e.remote]
     defect = rng.choice([
         "duplicate", "second-primary", "implicit-parent", "terminal-parent",
         "unknown-parent", "unknown-child", "self-loop", "cycle", "unreachable", "root-parent",
         "terminal-unit", "kind-value", "taken-id", "wrong-layer", "remote-only", "unknown-code",
-        "plain-code", "remote-flag",
+        "plain-code", "remote-flag", "not-an-edge",
     ])
     if defect == "duplicate" and edges:
         added = rng.choice(edges)
@@ -977,12 +1013,17 @@ def inject_defect(rng: random.Random, p: Passage, units: list, edges: list) -> N
         edge = rng.choice(primary)
         edges[edges.index(edge)] = edge._replace(remote=True)
         return
-    elif defect == "remote-flag" and edges:  # a flag that is no bool, some equal to one
-        edge = rng.choice(edges)
+    elif defect == "remote-flag" and records:  # a flag that is no bool, some equal to one
+        edge = rng.choice(records)
         edges[edges.index(edge)] = edge._replace(remote=rng.choice([2, None, "yes", 0.0, 1, 0]))
         return
-    elif defect in ("unknown-code", "plain-code") and edges:  # a label that is no Category
-        edge = rng.choice(edges)
+    elif defect == "not-an-edge" and records:  # a sequence of its fields, or more or fewer, or a subclass
+        edge = rng.choice(records)
+        make = rng.choice([tuple, list, lambda e: e[:3], lambda e: (*e, False), EdgeSubclass._make])
+        edges[edges.index(edge)] = make(edge)
+        return
+    elif defect in ("unknown-code", "plain-code") and records:  # a label that is no Category
+        edge = rng.choice(records)
         code = "Z" if defect == "unknown-code" else str(edge.category)
         edges[edges.index(edge)] = edge._replace(category=code)
         return

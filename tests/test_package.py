@@ -105,10 +105,11 @@ def test_no_module_but_graph_names_a_private_passage_member():
 
 
 def test_private_members_derived_hold_the_listed_ones():
-    """The names once listed by hand, but the incoming cache, which is gone."""
+    """The names once listed by hand, but the incoming cache and the method
+    that stored the sealed edge tables as tuples, which are gone."""
     assert PASSAGE_PRIVATE >= {
         "_nodes", "_edges", "_out", "_yields", "_order", "_has_parent", "_terminals",
-        "_tokens", "_punctuation", "_link", "_add_units", "_seal", "_require_mutable",
+        "_tokens", "_punctuation", "_link", "_add_units", "_require_mutable",
     }
     assert "_in" not in PASSAGE_PRIVATE
 

@@ -33,7 +33,7 @@ def assert_tables_agree(p):
         assert p.outgoing(edge.parent).count(edge) == 1
     assert sum(len(p.outgoing(n.id)) for n in p.nodes) == len(p.edges)
     assert {n.id for n in p.nodes if p.is_reentrant(n.id)} == {edge.child for edge in p.edges if edge.remote}
-    assert p.edges is p.edges and type(p.outgoing(p.root)) is tuple
+    assert type(p.edges) is tuple and type(p.outgoing(p.root)) is tuple
 
 
 class TestNormalize:
@@ -119,10 +119,12 @@ class TestNormalize:
             return relabel(e, code)
 
         rebuilt = rebuild(p, edit)
+        outgoing = {node.id: p.outgoing(node.id) for node in p.nodes}
         q = normalize(p)
         assert q.sealed and q == rebuilt
         for node in p.nodes:
             assert q.yield_of(node.id) == rebuilt.yield_of(node.id)
+            assert p.outgoing(node.id) == outgoing[node.id]
         assert [e.category.code for e in p.edges] == labels
 
     def test_unsealed_input_refused(self):
